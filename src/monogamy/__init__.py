@@ -23,13 +23,11 @@ from .diagrams import (
     young_symmetrizer,
 )
 from .extendibility import (
-    BrauerParams,
     ExtendibilityValue,
     LN2,
     asymptotic_limit,
     brauer_is_ppt,
     brauer_is_separable,
-    brauer_params_convert,
     compute_value,
     conjecture_probe,
     cycle_werner_value,
@@ -60,6 +58,6 @@ from .partitions import (
     shifted_schur_11,
     sym_dim,
 )
-from .spectral import JointSpectrum, Spectrum, joint_spectrum, lambda_max, sym_eigen
+from .spectral import JointSpectrum, Spectrum, edge_sum, joint_spectrum, lambda_max, sym_eigen
 
 __version__ = "0.1.0"

@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from . import checks
 from . import extendibility as ext
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, check_budget
 from .diagrams import jm_sum_brauer, jm_sum_sym, projectors
 from .graphs import edge_average_hamiltonian, graph_from_json, make_family, perfect_matchings
-from .spectral import sym_eigen
+from .spectral import lambda_max, sym_eigen
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,6 +42,17 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _int_at_least_2(text: str) -> int:
+    """argparse type: an integer >= 2, rejected with exit code 2 otherwise."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2: {value}")
+    return value
 
 
 def _load_graph(path: str):
@@ -89,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ppt = sub.add_parser("ppt-region", help="classify a Brauer state (p, q, d)")
     p_ppt.add_argument("--p", type=_parse_rational, required=True)
     p_ppt.add_argument("--q", type=_parse_rational, required=True)
-    p_ppt.add_argument("--d", type=int, required=True)
+    p_ppt.add_argument("--d", type=_int_at_least_2, required=True)
     p_ppt.add_argument(
         "--prime", action="store_true", help="interpret (p, q) as W/F/I weights (p', q')"
     )
@@ -99,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--d", type=int, required=True)
     p_scan.add_argument("--lo", type=float, default=-1.0)
     p_scan.add_argument("--hi", type=float, default=1.0)
-    p_scan.add_argument("--points", type=int, default=41)
+    p_scan.add_argument("--points", type=_int_at_least_2, default=41)
     p_scan.add_argument("--budget", type=int, default=None)
     p_scan.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
@@ -203,17 +214,18 @@ def cmd_verify(args, out) -> int:
 
 def cmd_spectrum(args, out) -> int:
     d = args.d
-    if args.what in ("jm-sym", "jm-brauer"):
-        if args.n is None:
-            raise SystemExit(EXIT_USAGE)
-        op = jm_sum_sym(args.n, d) if args.what == "jm-sym" else jm_sum_brauer(args.n, d)
+    graph_op = args.what in ("werner", "brauer")
+    g = _load_graph(args.graph) if graph_op and args.graph else None
+    n = g.vertex_count if g is not None else args.n
+    if n is None:
+        raise SystemExit(EXIT_USAGE)
+    check_budget(n, d)
+    if args.what == "jm-sym":
+        op = jm_sum_sym(n, d)
+    elif args.what == "jm-brauer":
+        op = jm_sum_brauer(n, d)
     else:
-        if args.graph:
-            g = _load_graph(args.graph)
-        elif args.n is not None:
-            g = make_family("complete", args.n)
-        else:
-            raise SystemExit(EXIT_USAGE)
+        g = g or make_family("complete", n)
         p_empty, p_11, _ = projectors(d)
         op = edge_average_hamiltonian(g, p_11 if args.what == "werner" else p_empty)
     spec = sym_eigen(op)
@@ -274,22 +286,10 @@ def cmd_ppt(args, out) -> int:
 
 
 def cmd_dual_scan(args, out) -> int:
-    import numpy as np
-
-    from .diagrams import pair_operators
-    from .budget import check_budget
-
     n, d = args.n, args.d
     check_budget(n, d, args.budget)
-    a_exact, b_exact = ext._dual_ham_parts(n, d)
-    a, b = a_exact.to_dense(), b_exact.to_dense()
-    edges = n * (n - 1) // 2
-    c = 1.0 / (edges * (1 - d))
     xs = [args.lo + i * (args.hi - args.lo) / (args.points - 1) for i in range(args.points)]
-    rows = []
-    for x in xs:
-        top = float(np.linalg.eigvalsh((c - x) * a + x * b)[-1])
-        rows.append((x, top))
+    rows = [(x, lambda_max(ext.iso_dual_hamiltonian(n, d, x))) for x in xs]
     if args.format == "json":
         json.dump([{"x": x, "lambda_max": v} for x, v in rows], out)
         out.write("\n")

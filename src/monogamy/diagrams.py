@@ -130,17 +130,6 @@ class SiteOperator:
             out[r, c] = float(v)
         return out
 
-    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, column and value arrays for sparse float assembly."""
-        if not self.data:
-            return (np.array([], dtype=np.int64),) * 2 + (np.array([], dtype=np.float64),)
-        rows, cols, vals = zip(*((r, c, float(v)) for (r, c), v in self.data.items()))
-        return (
-            np.array(rows, dtype=np.int64),
-            np.array(cols, dtype=np.int64),
-            np.array(vals, dtype=np.float64),
-        )
-
     def __repr__(self):
         return f"SiteOperator(n={self.n}, d={self.d}, nnz={len(self.data)})"
 
@@ -288,13 +277,8 @@ def compose(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
             visited.add(cur)
             if cur in free and cur != start:
                 break
-        end = cur
-
-        def label(node):
-            side, e = node
-            return e if side == "a" else e  # a-out keeps 0..n-1, b-in keeps n..2n-1
-
-        new_pairs.append((label(start), label(end)))
+        # a-out endpoints keep their labels 0..n-1 and b-in endpoints keep n..2n-1
+        new_pairs.append((start[1], cur[1]))
 
     loops = 0
     middle = [("a", n + k) for k in range(n)] + [("b", k) for k in range(n)]

@@ -16,16 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .budget import check_budget
 from .diagrams import PairOperator, SiteOperator, pair_operators, projectors, young_symmetrizer
-from .graphs import Graph, edge_average_hamiltonian, make_family, perfect_matchings
+from .graphs import Graph, make_family, perfect_matchings
 from .partitions import (
     Partition,
     check_partition,
-    conjugate,
     content,
     enumerate_brauer_irreps,
     enumerate_sym_irreps,
@@ -33,7 +30,7 @@ from .partitions import (
     optimal_rectangular_partition,
     size,
 )
-from .spectral import lambda_max
+from .spectral import edge_sum, float_pair_operators, lambda_max
 
 LN2 = math.log(2.0)
 
@@ -52,14 +49,6 @@ class ExtendibilityValue:
     def __post_init__(self):
         if not 0 <= self.value <= 1:
             raise ValueError(f"extendibility value {self.value} outside [0,1]")
-
-
-@dataclass(frozen=True)
-class BrauerParams:
-    """Brauer-state parameters: (p, q) projector weights or (p', q') W/F/I weights."""
-    p: Fraction
-    q: Fraction
-    prime: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +236,6 @@ def isotropic_dual_argmin(n: int, d: int) -> tuple[Fraction, Fraction, tuple[Aff
     return minimize_max_affine(iso_affine_family(n, d))
 
 
-def h_column_weight(lam: Partition, d: int) -> Fraction:
-    """h(lambda) = (1/2) sum_i lam'_i (d - lam'_i + 2(i-1)); the slope of g at x-tilde."""
-    lam = check_partition(lam)
-    conj = conjugate(lam)
-    return Fraction(sum(c * (d - c + 2 * i) for i, c in enumerate(conj)), 2)
-
-
 def q0_affine_family(n: int, d: int) -> list[AffineFn]:
     """Branches of the q=0 Brauer dual; only mu = (n) gives zero slope."""
     _check_nd(n, d)
@@ -277,6 +259,16 @@ def q0_dual_value(n: int, d: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # numeric oracles
 
+def _float_pair(which: str, d: int) -> np.ndarray:
+    """The float projector P_11 = (I - F)/2 ("werner") or P_empty = W/d ("brauer")."""
+    w, ident, f = float_pair_operators(d)
+    if which == "werner":
+        return (ident - f) / 2
+    if which == "brauer":
+        return w / d
+    raise ValueError("which must be 'werner' or 'brauer'")
+
+
 def p_avg_numeric(g: Graph, which: str, d: int, budget: int | None = None) -> float:
     """Largest eigenvalue of the edge-averaged projector Hamiltonian.
 
@@ -285,14 +277,8 @@ def p_avg_numeric(g: Graph, which: str, d: int, budget: int | None = None) -> fl
     directly comparable with the Brauer closed form.
     """
     check_budget(g.vertex_count, d, budget)
-    p_empty, p_11, _ = projectors(d)
-    if which == "werner":
-        op = p_11
-    elif which == "brauer":
-        op = p_empty
-    else:
-        raise ValueError("which must be 'werner' or 'brauer'")
-    return lambda_max(edge_average_hamiltonian(g, op))
+    pair = _float_pair(which, d)
+    return lambda_max(edge_sum(g.vertex_count, d, g.edges, pair)) / g.edge_count
 
 
 def cycle_werner_value(n: int, budget: int | None = None) -> float:
@@ -304,45 +290,25 @@ def cycle_werner_value(n: int, budget: int | None = None) -> float:
     return p_avg_numeric(make_family("cycle", n), "werner", 2, budget)
 
 
-def _dual_ham_parts(n: int, d: int):
-    """Exact building blocks sum_e (I_e - d F_e) and sum_e (F_e - W_e) on K_n."""
+def iso_dual_hamiltonian(n: int, d: int, x: float):
+    """H(x) = sum over edges of K_n of (c - x)(I - d F) + x (F - W), c = 1/(|E|(1-d))."""
+    _check_nd(n, d)
     g = make_family("complete", n)
-    w, ident, f = pair_operators(d)
-    a = edge_average_hamiltonian(g, ident - d * f) * g.edge_count
-    b = edge_average_hamiltonian(g, f - w) * g.edge_count
-    return a, b
+    w, ident, f = float_pair_operators(d)
+    c = 1.0 / (g.edge_count * (1 - d))
+    return edge_sum(n, d, g.edges, (c - x) * (ident - d * f) + x * (f - w))
 
 
 def iso_dual_numeric(n: int, d: int, budget: int | None = None) -> float:
     """Golden-section minimization of lambda_max(H(x)) for the isotropic dual.
 
-    H(x) = sum_e ((1/(|E|(1-d)) - x)(I_e - d F_e) + x (F_e - W_e)); the
-    bracket [-1, 1] is refined to width 1e-10.
+    H(x) is iso_dual_hamiltonian; the bracket [-1, 1] is refined to width 1e-10.
     """
     _check_nd(n, d)
     check_budget(n, d, budget)
-    a_exact, b_exact = _dual_ham_parts(n, d)
-    edges = n * (n - 1) // 2
-    c = 1.0 / (edges * (1 - d))
-    dim = d ** n
-    if dim <= 2048:
-        a = a_exact.to_dense()
-        b = b_exact.to_dense()
 
-        def f(x: float) -> float:
-            return float(np.linalg.eigvalsh((c - x) * a + x * b)[-1])
-    else:
-        def to_csr(m):
-            rows, cols, vals = m.to_coo()
-            return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-        a = to_csr(a_exact)
-        b = to_csr(b_exact)
-
-        def f(x: float) -> float:
-            top = scipy.sparse.linalg.eigsh(
-                (c - x) * a + x * b, k=1, which="LA", return_eigenvectors=False
-            )
-            return float(top[0])
+    def f(x: float) -> float:
+        return lambda_max(iso_dual_hamiltonian(n, d, x))
 
     lo, hi = -1.0, 1.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -444,45 +410,16 @@ def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> Sit
         for matching in perfect_matchings(make_family("complete", n)):
             terms.append(product_state(matching, None))
     else:
-        full = make_family("complete", n)
+        # perfect matchings of K_{n-1}, relabelled onto the vertices other than v
+        rest_matchings = perfect_matchings(make_family("complete", n - 1))
         for v in range(n):
-            sub_edges = [e for e in full.edges if v not in e]
-            sub = Graph(n, tuple(sub_edges), "custom")
-            # matchings of K_n minus v cover all vertices but v
-            covered = [m for m in _near_matchings(sub, skip=v)]
-            for matching in covered:
-                terms.append(product_state(matching, v))
+            others = [u for u in range(n) if u != v]
+            for matching in rest_matchings:
+                terms.append(product_state([(others[a], others[b]) for a, b in matching], v))
     total = SiteOperator.zero(n, d)
     for t in terms:
         total = total + t
     return total * Fraction(1, len(terms))
-
-
-def _near_matchings(g: Graph, skip: int):
-    """Matchings of g covering every vertex except `skip`."""
-    n = g.vertex_count
-    adj = {v: set() for v in range(n)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    out = []
-
-    def recurse(covered, acc):
-        remaining = [v for v in range(n) if v not in covered and v != skip]
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        u = remaining[0]
-        for v in sorted(adj[u]):
-            if v not in covered and v != skip:
-                covered.update((u, v))
-                acc.append((u, v))
-                recurse(covered, acc)
-                acc.pop()
-                covered.difference_update((u, v))
-
-    recurse(set(), [])
-    return out
 
 
 def isotropic_pair_state(p_prime: Fraction, d: int) -> PairOperator:
@@ -509,15 +446,6 @@ def brauer_wfi_to_proj(pp, qq, d: int) -> tuple[Fraction, Fraction]:
     p = Fraction(pp * (d * d - 1) + qq * (d - 1) + 1, d * d)
     q = -Fraction(pp * (d - 1) + qq * (d * d - 1) - d + 1, 2 * d)
     return p, q
-
-
-def brauer_params_convert(x: BrauerParams, d: int) -> BrauerParams:
-    """Exact conversion between the two Brauer parameterizations."""
-    if x.prime:
-        p, q = brauer_wfi_to_proj(x.p, x.q, d)
-        return BrauerParams(p, q, prime=False)
-    pp, qq = brauer_proj_to_wfi(x.p, x.q, d)
-    return BrauerParams(pp, qq, prime=True)
 
 
 def is_positive_brauer_prime(pp, qq, d: int) -> bool:
@@ -564,11 +492,9 @@ def conjecture_probe(g: Graph, which: str, d: int, grid: int = 21,
     if d ** n > 1024:
         raise ValueError("grid probe limited to d^n <= 1024")
     check_budget(n, d, budget)
-    p_empty, p_11, _ = projectors(d)
-    op = p_11 if which == "werner" else p_empty
-    embedded = [
-        edge_average_hamiltonian(Graph(n, (e,), "custom"), op).to_dense() for e in g.edges
-    ]
+    pair = _float_pair(which, d)
+    eye = np.eye(d ** n)
+    embedded = [edge_sum(n, d, [e], pair) @ eye for e in g.edges]
     k = g.edge_count
     steps = grid - 1
 

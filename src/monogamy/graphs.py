@@ -70,18 +70,21 @@ def graph_to_json(g: Graph) -> str:
     )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(text: str) -> Graph:
+    """Parse {"n": int, "edges": [[u, v], ...], "family": tag}; ValueError on schema errors."""
     obj = json.loads(text)
-    edges = tuple(tuple(sorted(e)) for e in obj["edges"])
-    return Graph(int(obj["n"]), edges, obj.get("family", "custom"))
-
-
-def embed_pair_operator(op: PairOperator, edge: tuple[int, int], n: int) -> SiteOperator:
-    """Place a two-qudit operator on an edge of an n-vertex graph."""
-    u, v = edge
-    if not (0 <= u < n and 0 <= v < n and u != v):
-        raise ValueError(f"edge {edge} invalid for n={n} vertices")
-    return embed_pair(op, (u, v), n)
+    if not isinstance(obj, dict) or not _is_int(obj.get("n")):
+        raise ValueError('graph JSON needs an integer "n"')
+    edges = obj.get("edges")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e) for e in edges
+    ):
+        raise ValueError('graph JSON needs "edges" as a list of [u, v] integer pairs')
+    return Graph(obj["n"], tuple(tuple(sorted(e)) for e in edges), obj.get("family", "custom"))
 
 
 def is_flip_invariant(op: PairOperator) -> bool:
@@ -98,7 +101,7 @@ def edge_average_hamiltonian(g: Graph, op: PairOperator) -> SiteOperator:
     n = g.vertex_count
     total = SiteOperator.zero(n, op.d)
     for e in g.edges:
-        total = total + embed_pair_operator(op, e, n)
+        total = total + embed_pair(op, e, n)
     return total * Fraction(1, g.edge_count)
 
 

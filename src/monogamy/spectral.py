@@ -1,9 +1,9 @@
-"""Floating-point spectral layer over the exact operators.
+"""Floating-point spectral layer.
 
-This is the numeric oracle: eigenvalue multisets, largest eigenvalues,
-and joint spectra of commuting pairs. Exactness stops here by design;
-inputs are exact SiteOperators, outputs are floats clustered at a fixed
-absolute tolerance.
+This is the numeric oracle: eigenvalue multisets and joint spectra of
+commuting pairs of exact SiteOperators, and largest eigenvalues of
+matrix-free edge sums. Exactness stops here by design; outputs are
+floats clustered at a fixed absolute tolerance.
 """
 
 from __future__ import annotations
@@ -11,14 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .diagrams import SiteOperator
 
 CLUSTER_TOL = 1e-8
-# above this dimension a dense eigensolve is wasteful for just the top eigenvalue
-_DENSE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -78,15 +75,61 @@ def sym_eigen(m: SiteOperator, tol: float = CLUSTER_TOL, vectors: bool = False):
     return spec
 
 
-def lambda_max(m: SiteOperator) -> float:
-    """Largest eigenvalue; switches to a sparse Lanczos solve on big matrices."""
-    _require_symmetric(m)
-    if m.dim <= _DENSE_LIMIT:
-        w = np.linalg.eigvalsh(m.to_dense())
-        return float(w[-1])
-    rows, cols, vals = m.to_coo()
-    sp = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m.dim, m.dim)).tocsr()
-    w = scipy.sparse.linalg.eigsh(sp, k=1, which="LA", return_eigenvectors=False)
+def float_pair_operators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float W (unnormalized maximally entangled), I and flip F on two qudits."""
+    ident = np.eye(d * d)
+    phi = np.eye(d).reshape(-1)
+    flip = ident.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    return np.outer(phi, phi), ident, flip
+
+
+def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
+    """Matrix-free sum over edges (u, v) of the float d^2 x d^2 `pair` on sites u, v.
+
+    Site 0 is the most significant digit of a basis index, as in the exact
+    operators. Each product reshapes psi to (d,)*n and contracts `pair`
+    with axes (u, v); nothing of size d^n x d^n is ever built. The pair must
+    be exactly symmetric and flip-invariant, so the sum is symmetric and
+    does not depend on edge orientation.
+    """
+    pair = np.asarray(pair, dtype=np.float64)
+    if pair.shape != (d * d, d * d):
+        raise ValueError(f"pair operator must be {d * d} x {d * d}")
+    if not np.array_equal(pair, pair.T):
+        raise ValueError("pair operator is not symmetric")
+    # rows and columns indexed (out_u, out_v, in_u, in_v)
+    p4 = pair.reshape(d, d, d, d)
+    if not np.array_equal(p4, p4.transpose(1, 0, 3, 2)):
+        raise ValueError("pair operator is not flip-invariant; edge orientation would matter")
+    edges = [tuple(e) for e in edges]
+    if not edges:
+        raise ValueError("need at least one edge")
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"invalid edge {(u, v)} for n={n}")
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        # a trailing axis carries the columns of a block, or length 1 for a vector
+        psi = x.reshape((d,) * n + (-1,))
+        out = np.zeros_like(psi, dtype=np.float64)
+        for u, v in edges:
+            out += np.moveaxis(np.tensordot(p4, psi, axes=([2, 3], [u, v])), (0, 1), (u, v))
+        return out.reshape(x.shape)
+
+    dim = d ** n
+    return scipy.sparse.linalg.LinearOperator(
+        (dim, dim), matvec=apply, matmat=apply, dtype=np.float64
+    )
+
+
+def lambda_max(op: scipy.sparse.linalg.LinearOperator) -> float:
+    """Largest eigenvalue of a symmetric operator, by Lanczos from a fixed random start.
+
+    The start is random, not all-ones: the all-ones vector lies in the
+    symmetric sector, which an antisymmetric Hamiltonian sends to zero.
+    """
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    w = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
     return float(w[0])
 
 

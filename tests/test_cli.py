@@ -120,8 +120,23 @@ class TestSpectrum:
         assert max(obj["eigenvalues"]) == pytest.approx(float(p_w_complete(3, 2)), abs=1e-9)
         assert sum(obj["multiplicities"]) == 8
 
+    def test_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONOGAMY_BUDGET", "64")
+        code, _, err = run_cli(capsys, "spectrum", "--what", "jm-sym", "--n", "7", "--d", "2")
+        assert code == 3
+        assert "budget" in err
+
 
 class TestMatchings:
+    def test_graph_missing_n_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"edges": [[0, 1]]}')
+        for argv in (("matchings", "--graph", str(path)),
+                     ("spectrum", "--what", "werner", "--d", "2", "--graph", str(path))):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert '"n"' in err
+
     def test_count(self, capsys):
         code, out, _ = run_cli(capsys, "matchings", "--complete", "6", "--count")
         assert code == 0
@@ -167,6 +182,12 @@ class TestPptRegion:
         assert code == 0
         assert out.startswith("invalid")
 
+    def test_d_below_two_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ppt-region", "--p", "0", "--q", "0", "--d", "1"])
+        assert exc.value.code == 2
+        assert "--d" in capsys.readouterr().err
+
 
 class TestDualScan:
     def test_csv_rows(self, capsys):
@@ -177,6 +198,12 @@ class TestDualScan:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["x", "lambda_max"]
         assert len(rows) == 6
+
+    def test_points_below_two_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dual-scan", "--n", "3", "--d", "2", "--points", "1"])
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "dual-scan", "--n", "7", "--d", "4")

@@ -10,12 +10,10 @@ from monogamy.budget import BudgetExceededError
 from monogamy.diagrams import projectors
 from monogamy.extendibility import (
     AffineFn,
-    BrauerParams,
     ExtendibilityValue,
     asymptotic_limit,
     brauer_is_ppt,
     brauer_is_separable,
-    brauer_params_convert,
     brauer_proj_to_wfi,
     brauer_wfi_to_proj,
     compute_value,
@@ -248,10 +246,9 @@ class TestBrauerRegion:
         assert brauer_wfi_to_proj(pp, qq, d) == (p, q)
 
     def test_params_convert_roundtrip(self):
-        x = BrauerParams(Fraction(1, 3), Fraction(1, 4))
-        y = brauer_params_convert(x, 3)
-        assert y.prime
-        assert brauer_params_convert(y, 3) == x
+        pp, qq = brauer_proj_to_wfi(Fraction(1, 3), Fraction(1, 4), 3)
+        assert (pp, qq) == (Fraction(1, 4), Fraction(0))
+        assert brauer_wfi_to_proj(pp, qq, 3) == (Fraction(1, 3), Fraction(1, 4))
 
     def test_positivity_triangle_vertices_d2(self):
         for pp, qq in [(Fraction(-1, 2), Fraction(1, 2)), (0, -1), (1, 0)]:

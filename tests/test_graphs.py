@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from monogamy.diagrams import BrauerDiagram, matrix_rep, pair_operators, projectors
+from monogamy.diagrams import BrauerDiagram, embed_pair, matrix_rep, pair_operators, projectors
 from monogamy.graphs import (
     Graph,
     edge_average_hamiltonian,
-    embed_pair_operator,
     graph_from_json,
     graph_to_json,
     make_family,
@@ -73,26 +72,43 @@ class TestJson:
         assert g.edges == ((0, 2), (0, 1))
         assert g.family_tag == "custom"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"edges": [[0, 1]]}',
+            '{"n": 3}',
+            '{"n": "3", "edges": [[0, 1]]}',
+            '{"n": true, "edges": [[0, 1]]}',
+            '{"n": 3, "edges": [[0, 1, 2]]}',
+            '{"n": 3, "edges": [[0, "1"]]}',
+            '{"n": 3, "edges": {"0": 1}}',
+            '[3, [[0, 1]]]',
+        ],
+    )
+    def test_schema_errors_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            graph_from_json(text)
+
 
 class TestEmbedding:
     def test_single_edge_identity(self):
         _, _, f = pair_operators(2)
-        assert embed_pair_operator(f, (0, 1), 2) == f
+        assert embed_pair(f, (0, 1), 2) == f
 
     def test_trace_multiplicative(self):
         p_empty, _, _ = projectors(2)
-        assert embed_pair_operator(p_empty, (1, 3), 4).trace() == 4
+        assert embed_pair(p_empty, (1, 3), 4).trace() == 4
 
     def test_matches_transposition_diagram(self):
         _, _, f = pair_operators(2)
-        assert embed_pair_operator(f, (0, 2), 3) == matrix_rep(
+        assert embed_pair(f, (0, 2), 3) == matrix_rep(
             BrauerDiagram.transposition(3, 0, 2), 2
         )
 
     def test_edge_out_of_range(self):
         _, _, f = pair_operators(2)
         with pytest.raises(ValueError):
-            embed_pair_operator(f, (0, 5), 3)
+            embed_pair(f, (0, 5), 3)
 
 
 class TestEdgeAverage:

@@ -12,7 +12,14 @@ from monogamy.diagrams import (
 )
 from monogamy.extendibility import p_w_complete
 from monogamy.graphs import edge_average_hamiltonian, make_family
-from monogamy.spectral import cluster, joint_spectrum, lambda_max, sym_eigen
+from monogamy.spectral import (
+    cluster,
+    edge_sum,
+    float_pair_operators,
+    joint_spectrum,
+    lambda_max,
+    sym_eigen,
+)
 
 
 class TestCluster:
@@ -61,19 +68,63 @@ class TestSymEigen:
             sym_eigen(SiteOperator(1, 2, {(0, 1): 1}))
 
 
+class TestEdgeSum:
+    @pytest.mark.parametrize(
+        "tag,n,m,d",
+        [("complete", 4, None, 2), ("cycle", 5, None, 3), ("path", 3, None, 3),
+         ("complete_bipartite", 2, 3, 2)],
+    )
+    @pytest.mark.parametrize("which", ["p_empty", "p_11", "p_2", "flip"])
+    def test_matches_exact_edge_sum(self, tag, n, m, d, which):
+        g = make_family(tag, n, m)
+        op = dict(zip(("p_empty", "p_11", "p_2"), projectors(d)), flip=pair_operators(d)[2])[which]
+        dim = d ** g.vertex_count
+        got = edge_sum(g.vertex_count, d, g.edges, op.to_dense()) @ np.eye(dim)
+        want = edge_average_hamiltonian(g, op).to_dense() * g.edge_count
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_float_pair_operators_match_exact(self):
+        for got, want in zip(float_pair_operators(3), pair_operators(3)):
+            assert np.array_equal(got, want.to_dense())
+
+    def test_rejects_non_symmetric(self):
+        pair = np.zeros((4, 4))
+        pair[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            edge_sum(3, 2, [(0, 1)], pair)
+
+    def test_rejects_non_flip_invariant(self):
+        # symmetric, but weights |01> and |10> differently
+        pair = np.diag([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            edge_sum(3, 2, [(0, 1)], pair)
+
+    def test_rejects_bad_edges(self):
+        _, ident, _ = float_pair_operators(2)
+        with pytest.raises(ValueError):
+            edge_sum(3, 2, [], ident)
+        with pytest.raises(ValueError):
+            edge_sum(3, 2, [(0, 3)], ident)
+
+
 class TestLambdaMax:
     def test_complete_graph_werner(self):
-        h = edge_average_hamiltonian(make_family("complete", 3), projectors(2)[1])
-        assert lambda_max(h) == pytest.approx(float(p_w_complete(3, 2)), abs=1e-12)
+        g = make_family("complete", 3)
+        h = edge_sum(3, 2, g.edges, projectors(2)[1].to_dense())
+        assert lambda_max(h) / g.edge_count == pytest.approx(float(p_w_complete(3, 2)), abs=1e-12)
 
     def test_projector(self):
         _, p_11, _ = projectors(2)
-        assert lambda_max(p_11) == pytest.approx(1.0, abs=1e-12)
+        assert lambda_max(edge_sum(2, 2, [(0, 1)], p_11.to_dense())) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_sparse_path_large_dimension(self):
-        # dim 4096 exceeds the dense cutoff and exercises the Lanczos branch;
-        # the top eigenvalue of the transposition sum is the full-row content
-        assert lambda_max(jm_sum_sym(12, 2)) == pytest.approx(66.0, abs=1e-7)
+        # dim 4096: the top eigenvalue of the transposition sum over K_12 is
+        # the full-row content 66
+        _, _, f = float_pair_operators(2)
+        h = edge_sum(12, 2, make_family("complete", 12).edges, f)
+        assert lambda_max(h) == pytest.approx(66.0, abs=1e-7)
 
 
 class TestJointSpectrum:
