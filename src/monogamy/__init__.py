@@ -11,7 +11,6 @@ one-dimensional dual minimax solvers.
 from .budget import BudgetExceededError, current_budget
 from .diagrams import (
     BrauerDiagram,
-    PairOperator,
     SiteOperator,
     all_diagrams,
     compose,

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="grid of values over 2..max in both n and d")
     p_table.add_argument("--family", choices=CLI_FAMILIES[:4], required=True)
-    p_table.add_argument("--max", type=int, default=9)
+    p_table.add_argument("--max", type=_int_at_least_2, default=9)
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="cross-check closed forms against oracles")
@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p_match = sub.add_parser("matchings", help="perfect matchings of a graph")
-    p_match.add_argument("--complete", type=int, help="use the complete graph K_n")
-    p_match.add_argument("--graph", help="graph JSON file")
+    p_source = p_match.add_mutually_exclusive_group(required=True)
+    p_source.add_argument("--complete", type=int, help="use the complete graph K_n")
+    p_source.add_argument("--graph", help="graph JSON file")
     p_match.add_argument("--count", action="store_true", help="print only the count")
 
     p_ppt = sub.add_parser("ppt-region", help="classify a Brauer state (p, q, d)")
@@ -170,8 +171,6 @@ def table_cells(family: str, top: int):
 
 def cmd_table(args, out) -> int:
     family = _family_key(args.family)
-    if args.max < 2:
-        raise SystemExit(EXIT_USAGE)
     cells = table_cells(family, args.max)
     ns = list(range(2, args.max + 1))
     if args.format == "json":
@@ -218,7 +217,8 @@ def cmd_spectrum(args, out) -> int:
     g = _load_graph(args.graph) if graph_op and args.graph else None
     n = g.vertex_count if g is not None else args.n
     if n is None:
-        raise SystemExit(EXIT_USAGE)
+        source = "--n or --graph" if graph_op else "--n"
+        raise ValueError(f"spectrum --what {args.what} needs {source}")
     check_budget(n, d)
     if args.what == "jm-sym":
         op = jm_sum_sym(n, d)
@@ -249,10 +249,8 @@ def cmd_spectrum(args, out) -> int:
 def cmd_matchings(args, out) -> int:
     if args.complete is not None:
         g = make_family("complete", args.complete)
-    elif args.graph:
-        g = _load_graph(args.graph)
     else:
-        raise SystemExit(EXIT_USAGE)
+        g = _load_graph(args.graph)
     matchings = perfect_matchings(g)
     if args.count:
         out.write(f"{len(matchings)}\n")

@@ -31,7 +31,7 @@ Scalar = int | Fraction
 
 
 class SiteOperator:
-    """Exact rational matrix on (C^d)^(x)n, stored sparsely."""
+    """Exact rational matrix on (C^d)^(x)n, stored sparsely; n = 2 is a pair operator."""
 
     __slots__ = ("n", "d", "data")
 
@@ -45,11 +45,6 @@ class SiteOperator:
     @property
     def dim(self) -> int:
         return self.d ** self.n
-
-    def _like(self, data: dict) -> "SiteOperator":
-        if isinstance(self, PairOperator):
-            return PairOperator(self.d, data)
-        return SiteOperator(self.n, self.d, data)
 
     @classmethod
     def zero(cls, n: int, d: int) -> "SiteOperator":
@@ -68,25 +63,22 @@ class SiteOperator:
         data = dict(self.data)
         for k, v in other.data.items():
             data[k] = data.get(k, 0) + v
-        return self._like(data)
+        return SiteOperator(self.n, self.d, data)
 
     def __sub__(self, other: "SiteOperator") -> "SiteOperator":
         self._check_same_shape(other)
         data = dict(self.data)
         for k, v in other.data.items():
             data[k] = data.get(k, 0) - v
-        return self._like(data)
+        return SiteOperator(self.n, self.d, data)
 
     def __neg__(self) -> "SiteOperator":
-        return self._like({k: -v for k, v in self.data.items()})
+        return SiteOperator(self.n, self.d, {k: -v for k, v in self.data.items()})
 
     def __mul__(self, scalar: Scalar) -> "SiteOperator":
-        return self._like({k: v * scalar for k, v in self.data.items()})
+        return SiteOperator(self.n, self.d, {k: v * scalar for k, v in self.data.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> "SiteOperator":
-        return self._like({k: Fraction(v, 1) / scalar for k, v in self.data.items()})
 
     def __matmul__(self, other: "SiteOperator") -> "SiteOperator":
         self._check_same_shape(other)
@@ -98,7 +90,7 @@ class SiteOperator:
             for c, vb in rows_of_b.get(k, ()):
                 key = (r, c)
                 data[key] = data.get(key, 0) + va * vb
-        return self._like(data)
+        return SiteOperator(self.n, self.d, data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SiteOperator):
@@ -109,20 +101,14 @@ class SiteOperator:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.n, self.d, frozenset(self.data.items())))
-
     def trace(self) -> Scalar:
         return sum((v for (r, c), v in self.data.items() if r == c), start=0)
 
     def transpose(self) -> "SiteOperator":
-        return self._like({(c, r): v for (r, c), v in self.data.items()})
+        return SiteOperator(self.n, self.d, {(c, r): v for (r, c), v in self.data.items()})
 
     def is_symmetric(self) -> bool:
         return all(self.data.get((c, r), 0) == v for (r, c), v in self.data.items())
-
-    def entry(self, r: int, c: int) -> Scalar:
-        return self.data.get((r, c), 0)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.float64)
@@ -132,24 +118,6 @@ class SiteOperator:
 
     def __repr__(self):
         return f"SiteOperator(n={self.n}, d={self.d}, nnz={len(self.data)})"
-
-
-class PairOperator(SiteOperator):
-    """Exact operator on two qudits, (C^d)^(x)2."""
-
-    def __init__(self, d: int, data: dict | None = None):
-        super().__init__(2, d, data)
-
-    @classmethod
-    def zero(cls, d: int) -> "PairOperator":  # type: ignore[override]
-        return cls(d, {})
-
-    @classmethod
-    def identity(cls, d: int) -> "PairOperator":  # type: ignore[override]
-        return cls(d, {(i, i): 1 for i in range(d * d)})
-
-    def __repr__(self):
-        return f"PairOperator(d={self.d}, nnz={len(self.data)})"
 
 
 class BrauerDiagram:
@@ -317,17 +285,17 @@ def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:
     return SiteOperator(n, d, data)
 
 
-def pair_operators(d: int) -> tuple[PairOperator, PairOperator, PairOperator]:
+def pair_operators(d: int) -> tuple[SiteOperator, SiteOperator, SiteOperator]:
     """The unnormalized maximally entangled W, identity I and flip F on two qudits."""
     if d < 2:
         raise ValueError("need d >= 2")
-    w = PairOperator(d, {(a * d + a, b * d + b): 1 for a in range(d) for b in range(d)})
-    ident = PairOperator.identity(d)
-    f = PairOperator(d, {(a * d + b, b * d + a): 1 for a in range(d) for b in range(d)})
+    w = SiteOperator(2, d, {(a * d + a, b * d + b): 1 for a in range(d) for b in range(d)})
+    ident = SiteOperator.identity(2, d)
+    f = SiteOperator(2, d, {(a * d + b, b * d + a): 1 for a in range(d) for b in range(d)})
     return w, ident, f
 
 
-def projectors(d: int) -> tuple[PairOperator, PairOperator, PairOperator]:
+def projectors(d: int) -> tuple[SiteOperator, SiteOperator, SiteOperator]:
     """Orthogonal projectors (P_empty, P_11, P_2) decomposing two qudits.
 
     P_empty = W/d, P_11 = (I - F)/2, P_2 = (I + F)/2 - W/d.
@@ -339,78 +307,70 @@ def projectors(d: int) -> tuple[PairOperator, PairOperator, PairOperator]:
     return p_empty, p_11, p_2
 
 
-def embed_pair(op: PairOperator, sites: tuple[int, int], n: int) -> SiteOperator:
-    """Embed a two-qudit operator at the given pair of sites, identity elsewhere."""
-    u, v = sites
-    if u == v or not (0 <= u < n) or not (0 <= v < n):
-        raise ValueError(f"invalid site pair {sites} for n={n}")
+def embed_sum(op: SiteOperator, edges, n: int) -> SiteOperator:
+    """Sum over edges (u, v) of the two-qudit op on sites u, v, identity elsewhere.
+
+    Every edge is added in place into one dict, so the sum is never copied.
+    """
+    if op.n != 2:
+        raise ValueError(f"need a two-qudit operator (n=2), got n={op.n}")
     d = op.d
-    rest = [k for k in range(n) if k not in (u, v)]
     place = [d ** (n - 1 - i) for i in range(n)]
     data: dict = {}
-    for (r2, c2), val in op.data.items():
-        ru, rv = divmod(r2, d)
-        cu, cv = divmod(c2, d)
-        base_r = ru * place[u] + rv * place[v]
-        base_c = cu * place[u] + cv * place[v]
-        for w in itertools.product(range(d), repeat=len(rest)):
-            off = sum(w[i] * place[rest[i]] for i in range(len(rest)))
-            key = (base_r + off, base_c + off)
-            data[key] = data.get(key, 0) + val
+    for u, v in edges:
+        if u == v or not (0 <= u < n) or not (0 <= v < n):
+            raise ValueError(f"invalid site pair {(u, v)} for n={n}")
+        rest = [place[k] for k in range(n) if k not in (u, v)]
+        offsets = [sum(w * p for w, p in zip(ws, rest))
+                   for ws in itertools.product(range(d), repeat=n - 2)]
+        for (r2, c2), val in op.data.items():
+            ru, rv = divmod(r2, d)
+            cu, cv = divmod(c2, d)
+            base_r = ru * place[u] + rv * place[v]
+            base_c = cu * place[u] + cv * place[v]
+            for off in offsets:
+                key = (base_r + off, base_c + off)
+                data[key] = data.get(key, 0) + val
     return SiteOperator(n, d, data)
 
 
 def jm_sum_sym(n: int, d: int) -> SiteOperator:
     """Sum of flips F_{i,j} over all pairs i < j (total Jucys-Murphy element of S_n)."""
-    if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
     _, _, f = pair_operators(d)
-    total = SiteOperator.zero(n, d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = total + embed_pair(f, (i, j), n)
-    return total
+    return embed_sum(f, itertools.combinations(range(n), 2), n)
 
 
 def jm_sum_brauer(n: int, d: int) -> SiteOperator:
     """Sum of F_{i,j} - W_{i,j} over all pairs (total Jucys-Murphy element of Br_n^d)."""
-    if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
     w, _, f = pair_operators(d)
-    fw = f - w
-    total = SiteOperator.zero(n, d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = total + embed_pair(fw, (i, j), n)
-    return total
+    return embed_sum(f - w, itertools.combinations(range(n), 2), n)
 
 
 def young_symmetrizer(lam: Partition, n: int, d: int) -> SiteOperator:
     """Central idempotent eps_lam = (d(lam)/n!) sum_pi chi_lam(pi) psi(pi).
 
     Characters are constant on conjugacy classes and memoized, so the sum
-    effectively groups permutations by cycle type; the 0/1 matrices psi(pi)
-    are accumulated with integer arithmetic and scaled exactly at the end.
+    effectively groups permutations by cycle type. The integer characters
+    are added into one dict keyed by (row, col), so memory follows the
+    entries the permutations touch, and the rational scale is applied once
+    to the entries that do not cancel.
     """
     lam = check_partition(lam)
     if size(lam) != n:
         raise ValueError(f"partition {lam} is not a partition of n={n}")
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than d={d} rows")
-    dim = d ** n
     digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
     place = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    cols = np.arange(dim)
-    acc = np.zeros((dim, dim), dtype=np.int64)
+    cols = range(d ** n)
+    acc: dict = {}
     for perm in itertools.permutations(range(n)):
         chi = mn_character(lam, cycle_type(perm))
         if chi == 0:
             continue
         # row index of column x under psi(perm): digit j of the row is x_{perm^-1(j)}
-        place_perm = np.array([place[perm[i]] for i in range(n)], dtype=np.int64)
-        rows = digits @ place_perm
-        acc[rows, cols] += chi
+        rows = (digits @ place[list(perm)]).tolist()
+        for key in zip(rows, cols):
+            acc[key] = acc.get(key, 0) + chi
     scale = Fraction(sym_dim(lam), factorial(n))
-    rr, cc = np.nonzero(acc)
-    data = {(int(r), int(c)): int(acc[r, c]) * scale for r, c in zip(rr, cc)}
-    return SiteOperator(n, d, data)
+    return SiteOperator(n, d, {key: v * scale for key, v in acc.items() if v})

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import check_budget
-from .diagrams import PairOperator, SiteOperator, pair_operators, projectors, young_symmetrizer
+from .diagrams import SiteOperator, pair_operators, projectors, young_symmetrizer
 from .graphs import Graph, make_family, perfect_matchings
 from .partitions import (
     Partition,
@@ -330,7 +330,7 @@ def iso_dual_numeric(n: int, d: int, budget: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 # primal certificates and lower-bound states
 
-def reduced_state(rho: SiteOperator, edge: tuple[int, int], n: int, d: int) -> PairOperator:
+def reduced_state(rho: SiteOperator, edge: tuple[int, int], n: int, d: int) -> SiteOperator:
     """Partial trace onto the two edge sites (in edge order)."""
     u, v = edge
     if not (0 <= u < n and 0 <= v < n and u != v):
@@ -347,7 +347,7 @@ def reduced_state(rho: SiteOperator, edge: tuple[int, int], n: int, d: int) -> P
             continue
         key = (ru * d + rv, cu * d + cv)
         data[key] = data.get(key, 0) + val
-    return PairOperator(d, data)
+    return SiteOperator(2, d, data)
 
 
 def trace_product(a: SiteOperator, b: SiteOperator) -> Fraction:
@@ -386,43 +386,33 @@ def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> Sit
     """
     _check_nd(n, d)
     check_budget(n, d, budget)
+    if n % 2 == 0:
+        states = [(m, None) for m in perfect_matchings(make_family("complete", n))]
+    else:
+        # perfect matchings of K_{n-1}, relabelled onto the vertices other than v
+        rest_matchings = perfect_matchings(make_family("complete", n - 1))
+        states = []
+        for v in range(n):
+            others = [u for u in range(n) if u != v]
+            states += [([(others[a], others[b]) for a, b in m], v) for m in rest_matchings]
     place = [d ** (n - 1 - i) for i in range(n)]
-
-    def product_state(pairs, leftover):
-        weight = Fraction(1, d ** (len(pairs) + (1 if leftover is not None else 0)))
-        data = {}
+    data: dict = {}
+    for pairs, leftover in states:
+        weight = Fraction(1, d ** (len(pairs) + (leftover is not None)) * len(states))
+        offsets = [0] if leftover is None else [w * place[leftover] for w in range(d)]
         for assign in itertools.product(range(d * d), repeat=len(pairs)):
             base_r = base_c = 0
             for (u, v), ab in zip(pairs, assign):
                 a, b = divmod(ab, d)
                 base_r += a * (place[u] + place[v])
                 base_c += b * (place[u] + place[v])
-            if leftover is None:
-                data[(base_r, base_c)] = weight
-            else:
-                for w in range(d):
-                    off = w * place[leftover]
-                    data[(base_r + off, base_c + off)] = weight
-        return SiteOperator(n, d, data)
-
-    terms = []
-    if n % 2 == 0:
-        for matching in perfect_matchings(make_family("complete", n)):
-            terms.append(product_state(matching, None))
-    else:
-        # perfect matchings of K_{n-1}, relabelled onto the vertices other than v
-        rest_matchings = perfect_matchings(make_family("complete", n - 1))
-        for v in range(n):
-            others = [u for u in range(n) if u != v]
-            for matching in rest_matchings:
-                terms.append(product_state([(others[a], others[b]) for a, b in matching], v))
-    total = SiteOperator.zero(n, d)
-    for t in terms:
-        total = total + t
-    return total * Fraction(1, len(terms))
+            for off in offsets:
+                key = (base_r + off, base_c + off)
+                data[key] = data.get(key, 0) + weight
+    return SiteOperator(n, d, data)
 
 
-def isotropic_pair_state(p_prime: Fraction, d: int) -> PairOperator:
+def isotropic_pair_state(p_prime: Fraction, d: int) -> SiteOperator:
     """Two-qudit isotropic state with W-weight p': p' W/d + (1-p') I/d^2."""
     w, ident, _ = pair_operators(d)
     return w * Fraction(p_prime, d) + ident * Fraction(1 - p_prime, d * d)

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import PairOperator, SiteOperator, embed_pair, pair_operators
+from .diagrams import SiteOperator, embed_sum, pair_operators
 
 FAMILY_TAGS = ("complete", "star", "cycle", "path", "complete_bipartite", "custom")
 
@@ -87,22 +87,20 @@ def graph_from_json(text: str) -> Graph:
     return Graph(obj["n"], tuple(tuple(sorted(e)) for e in edges), obj.get("family", "custom"))
 
 
-def is_flip_invariant(op: PairOperator) -> bool:
+def is_flip_invariant(op: SiteOperator) -> bool:
+    if op.n != 2:
+        raise ValueError(f"need a two-qudit operator (n=2), got n={op.n}")
     _, _, f = pair_operators(op.d)
     return f @ op @ f == op
 
 
-def edge_average_hamiltonian(g: Graph, op: PairOperator) -> SiteOperator:
+def edge_average_hamiltonian(g: Graph, op: SiteOperator) -> SiteOperator:
     """(1/|E|) sum over edges of the embedded operator, exact."""
     if not g.edges:
         raise ValueError("graph has no edges")
     if not is_flip_invariant(op):
         raise ValueError("operator is not flip-invariant; edge orientation would matter")
-    n = g.vertex_count
-    total = SiteOperator.zero(n, op.d)
-    for e in g.edges:
-        total = total + embed_pair(op, e, n)
-    return total * Fraction(1, g.edge_count)
+    return embed_sum(op, g.edges, g.vertex_count) * Fraction(1, g.edge_count)
 
 
 Matching = tuple[tuple[int, int], ...]

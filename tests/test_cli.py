@@ -99,6 +99,12 @@ class TestTable:
         by_key = {(r["n"], r["d"]): Fraction(r["value"]["num"], r["value"]["den"]) for r in rows}
         assert by_key[(3, 2)] == p_w_complete(3, 2)
 
+    def test_max_below_two_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--family", "werner", "--max", "1"])
+        assert exc.value.code == 2
+        assert "--max" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_jm_sym(self, capsys):
@@ -126,8 +132,20 @@ class TestSpectrum:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("what", ["jm-sym", "werner"])
+    def test_missing_n_is_usage_error(self, capsys, what):
+        code, _, err = run_cli(capsys, "spectrum", "--what", what, "--d", "2")
+        assert code == 2
+        assert "--n" in err
+
 
 class TestMatchings:
+    def test_missing_graph_source_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["matchings", "--count"])
+        assert exc.value.code == 2
+        assert "--complete" in capsys.readouterr().err
+
     def test_graph_missing_n_exit_code(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"edges": [[0, 1]]}')

@@ -3,16 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from monogamy.diagrams import (
     BrauerDiagram,
-    PairOperator,
     SiteOperator,
     all_diagrams,
     compose,
-    embed_pair,
+    embed_sum,
     jm_sum_brauer,
     jm_sum_sym,
     matrix_rep,
@@ -20,7 +20,14 @@ from monogamy.diagrams import (
     projectors,
     young_symmetrizer,
 )
-from monogamy.partitions import enumerate_sym_irreps, gl_dim, partitions_of, sym_dim
+from monogamy.partitions import (
+    cycle_type,
+    enumerate_sym_irreps,
+    gl_dim,
+    mn_character,
+    partitions_of,
+    sym_dim,
+)
 
 
 class TestSiteOperator:
@@ -30,7 +37,7 @@ class TestSiteOperator:
     def test_arithmetic(self):
         w, ident, f = pair_operators(2)
         assert (f + f) * Fraction(1, 2) == f
-        assert f - f == PairOperator.zero(2)
+        assert f - f == SiteOperator.zero(2, 2)
         assert (w @ w) == 2 * w
         assert f @ f == ident
         assert f @ w == w and w @ f == w
@@ -147,12 +154,12 @@ class TestProjectors:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_orthogonal_idempotents_summing_to_identity(self, d):
         p_empty, p_11, p_2 = projectors(d)
-        ident = PairOperator.identity(d)
+        ident = SiteOperator.identity(2, d)
         for p in (p_empty, p_11, p_2):
             assert p @ p == p
-        assert p_empty @ p_11 == PairOperator.zero(d)
-        assert p_empty @ p_2 == PairOperator.zero(d)
-        assert p_11 @ p_2 == PairOperator.zero(d)
+        assert p_empty @ p_11 == SiteOperator.zero(2, d)
+        assert p_empty @ p_2 == SiteOperator.zero(2, d)
+        assert p_11 @ p_2 == SiteOperator.zero(2, d)
         assert p_empty + p_11 + p_2 == ident
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -174,21 +181,26 @@ class TestProjectors:
 class TestEmbed:
     def test_embed_two_sites_is_itself(self):
         _, _, f = pair_operators(2)
-        assert embed_pair(f, (0, 1), 2) == f
+        assert embed_sum(f, [(0, 1)], 2) == f
 
     def test_embed_trace(self):
         p_empty, _, _ = projectors(3)
-        assert embed_pair(p_empty, (0, 2), 3).trace() == 3
+        assert embed_sum(p_empty, [(0, 2)], 3).trace() == 3
 
     def test_embed_flip_far_sites(self):
         _, _, f = pair_operators(2)
         swap02 = BrauerDiagram.transposition(3, 0, 2)
-        assert embed_pair(f, (0, 2), 3) == matrix_rep(swap02, 2)
+        assert embed_sum(f, [(0, 2)], 3) == matrix_rep(swap02, 2)
 
     def test_embed_rejects_bad_sites(self):
         _, _, f = pair_operators(2)
         with pytest.raises(ValueError):
-            embed_pair(f, (0, 3), 3)
+            embed_sum(f, [(0, 3)], 3)
+
+    def test_embed_rejects_non_pair_operator(self):
+        # a three-site operator used to be embedded as if it were a pair
+        with pytest.raises(ValueError, match="two-qudit"):
+            embed_sum(SiteOperator.identity(3, 2), [(0, 1)], 3)
 
 
 class TestJucysMurphy:
@@ -219,6 +231,16 @@ class TestYoungSymmetrizers:
             assert eps.trace() == sym_dim(lam) * gl_dim(lam, d)
             total = total + eps
         assert total == SiteOperator.identity(n, d)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2)])
+    def test_matches_character_sum_of_permutation_matrices(self, n, d):
+        for lam in enumerate_sym_irreps(n, d):
+            total = SiteOperator.zero(n, d)
+            for perm in itertools.permutations(range(n)):
+                chi = mn_character(lam, cycle_type(perm))
+                total = total + matrix_rep(BrauerDiagram.from_permutation(perm), d) * chi
+            want = total * Fraction(sym_dim(lam), factorial(n))
+            assert young_symmetrizer(lam, n, d) == want
 
     def test_trace_example(self):
         assert young_symmetrizer((2, 1), 3, 2).trace() == 4

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from monogamy.diagrams import BrauerDiagram, embed_pair, matrix_rep, pair_operators, projectors
+from monogamy.diagrams import (
+    BrauerDiagram,
+    SiteOperator,
+    embed_sum,
+    matrix_rep,
+    pair_operators,
+    projectors,
+)
 from monogamy.graphs import (
     Graph,
     edge_average_hamiltonian,
@@ -93,22 +100,40 @@ class TestJson:
 class TestEmbedding:
     def test_single_edge_identity(self):
         _, _, f = pair_operators(2)
-        assert embed_pair(f, (0, 1), 2) == f
+        assert embed_sum(f, [(0, 1)], 2) == f
 
     def test_trace_multiplicative(self):
         p_empty, _, _ = projectors(2)
-        assert embed_pair(p_empty, (1, 3), 4).trace() == 4
+        assert embed_sum(p_empty, [(1, 3)], 4).trace() == 4
 
     def test_matches_transposition_diagram(self):
         _, _, f = pair_operators(2)
-        assert embed_pair(f, (0, 2), 3) == matrix_rep(
+        assert embed_sum(f, [(0, 2)], 3) == matrix_rep(
             BrauerDiagram.transposition(3, 0, 2), 2
         )
 
     def test_edge_out_of_range(self):
         _, _, f = pair_operators(2)
         with pytest.raises(ValueError):
-            embed_pair(f, (0, 5), 3)
+            embed_sum(f, [(0, 5)], 3)
+
+    @pytest.mark.parametrize("which", ["flip", "flip_minus_w", "p_11"])
+    @pytest.mark.parametrize(
+        "g,d",
+        [
+            (make_family("complete", 4), 2),
+            (make_family("cycle", 5), 3),
+            (make_family("complete_bipartite", 2, 3), 2),
+        ],
+    )
+    def test_sum_equals_sum_of_single_edges(self, g, d, which):
+        w, _, f = pair_operators(d)
+        op = {"flip": f, "flip_minus_w": f - w, "p_11": projectors(d)[1]}[which]
+        n = g.vertex_count
+        want = SiteOperator.zero(n, d)
+        for e in g.edges:
+            want = want + embed_sum(op, [e], n)
+        assert embed_sum(op, g.edges, n) == want
 
 
 class TestEdgeAverage:
@@ -118,11 +143,14 @@ class TestEdgeAverage:
         assert edge_average_hamiltonian(g, p_empty) == p_empty
 
     def test_rejects_non_flip_invariant(self):
-        from monogamy.diagrams import PairOperator
-
-        lopsided = PairOperator(2, {(0, 1): 1, (1, 0): 1, (1, 1): 1})
+        lopsided = SiteOperator(2, 2, {(0, 1): 1, (1, 0): 1, (1, 1): 1})
         with pytest.raises(ValueError):
             edge_average_hamiltonian(make_family("complete", 3), lopsided)
+
+    def test_rejects_non_pair_operator(self):
+        # a three-site operator used to fail with "operator shape mismatch"
+        with pytest.raises(ValueError, match="two-qudit"):
+            edge_average_hamiltonian(make_family("complete", 3), SiteOperator.identity(3, 2))
 
     def test_heisenberg_ring_shape(self):
         _, p_11, _ = projectors(2)
