@@ -2,7 +2,8 @@
 
 The default cap is d^n <= 4096; the MONOGAMY_BUDGET environment variable
 overrides it. Oversized requests raise BudgetExceededError instead of
-silently switching algorithms.
+silently switching algorithms; `within_budget` selects the points of a
+grid that a cap allows, by the same rule.
 """
 
 from __future__ import annotations
@@ -26,9 +27,14 @@ def current_budget(override: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
+def within_budget(points, cap: int) -> list[tuple[int, int]]:
+    """The (n, d) points whose d^n-sized data fits the cap: d^n <= cap."""
+    return [(n, d) for n, d in points if d ** n <= cap]
+
+
 def check_budget(n: int, d: int, override: int | None = None) -> None:
     cap = current_budget(override)
-    if d ** n > cap:
+    if not within_budget([(n, d)], cap):
         raise BudgetExceededError(
             f"d^n = {d}^{n} = {d**n} exceeds the dense-matrix budget {cap}; "
             f"set {ENV_VAR} to raise the cap"

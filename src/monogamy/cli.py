@@ -80,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="cross-check closed forms against oracles")
-    p_verify.add_argument("--all", action="store_true", help="run every check")
+    p_verify.add_argument(
+        "--all", action="store_true", help="accepted for compatibility; verify runs every check"
+    )
     p_verify.add_argument("--budget", type=int, default=None, help="dense-matrix cap on d^n")
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue multiset of a named operator")
@@ -214,7 +216,9 @@ def cmd_verify(args, out) -> int:
 def cmd_spectrum(args, out) -> int:
     d = args.d
     graph_op = args.what in ("werner", "brauer")
-    g = _load_graph(args.graph) if graph_op and args.graph else None
+    if args.graph and not graph_op:
+        raise ValueError(f"spectrum --what {args.what} acts on K_n and takes --n, not --graph")
+    g = _load_graph(args.graph) if args.graph else None
     n = g.vertex_count if g is not None else args.n
     if n is None:
         source = "--n or --graph" if graph_op else "--n"

@@ -60,15 +60,15 @@ def _require_symmetric(m: SiteOperator):
         raise ValueError("operator is not symmetric")
 
 
-def sym_eigen(m: SiteOperator, tol: float = CLUSTER_TOL, vectors: bool = False):
-    """Eigenvalues of an exact symmetric operator, clustered at tol.
+def sym_eigen(m: SiteOperator, *, vectors: bool = False):
+    """Eigenvalues of an exact symmetric operator, clustered at CLUSTER_TOL.
 
     With vectors=True also returns the raw (eigenvalues, eigenvectors)
     arrays from the dense solve.
     """
     _require_symmetric(m)
     w, v = np.linalg.eigh(m.to_dense())
-    reps, counts = cluster(w, tol)
+    reps, counts = cluster(w)
     spec = Spectrum(reps, counts)
     if vectors:
         return spec, w, v
@@ -133,11 +133,12 @@ def lambda_max(op: scipy.sparse.linalg.LinearOperator) -> float:
     return float(w[0])
 
 
-def joint_spectrum(a: SiteOperator, b: SiteOperator, tol: float = CLUSTER_TOL) -> JointSpectrum:
+def joint_spectrum(a: SiteOperator, b: SiteOperator) -> JointSpectrum:
     """Joint eigenvalue pairs of two exactly commuting symmetric operators.
 
     Diagonalizes a, then diagonalizes b restricted to each eigenspace of a.
-    Commutation is checked exactly on the rational matrices first.
+    Commutation is checked exactly on the rational matrices first; both
+    spectra are clustered at CLUSTER_TOL.
     """
     _require_symmetric(a)
     _require_symmetric(b)
@@ -147,7 +148,7 @@ def joint_spectrum(a: SiteOperator, b: SiteOperator, tol: float = CLUSTER_TOL) -
         raise ValueError("operators do not commute exactly")
     wa, va = np.linalg.eigh(a.to_dense())
     dense_b = b.to_dense()
-    reps, counts = cluster(wa, tol)
+    reps, counts = cluster(wa)
     pairs: list[tuple[float, float]] = []
     mults: list[int] = []
     start = 0
@@ -156,7 +157,7 @@ def joint_spectrum(a: SiteOperator, b: SiteOperator, tol: float = CLUSTER_TOL) -
         start += count
         restricted = block.T @ dense_b @ block
         wb = np.linalg.eigvalsh(restricted)
-        b_reps, b_counts = cluster(wb, tol)
+        b_reps, b_counts = cluster(wb)
         for bv, bc in zip(b_reps, b_counts):
             pairs.append((rep, bv))
             mults.append(bc)

@@ -138,6 +138,15 @@ class TestSpectrum:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("what", ["jm-sym", "jm-brauer"])
+    def test_jm_sum_rejects_graph(self, capsys, tmp_path, what):
+        missing = str(tmp_path / "absent.json")
+        code, out, err = run_cli(capsys, "spectrum", "--what", what, "--n", "2", "--d", "2",
+                                 "--graph", missing)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--graph" in err
+
 
 class TestMatchings:
     def test_missing_graph_source_is_usage_error(self, capsys):
@@ -247,6 +256,30 @@ class TestCycle:
 
 
 class TestVerify:
+    def test_check_names_in_run_order(self):
+        assert [f.__name__ for f in cli.checks.CHECKS] == [
+            "check_dual_solvers_exact",
+            "check_brauer_composition",
+            "check_jm_spectra",
+            "check_joint_spectrum_easy_pairs",
+            "check_ppt_region",
+            "check_conjecture_probe",
+            "check_asymptotics",
+            "check_oracle_closed_forms",
+            "check_primal_certificates",
+            "check_matching_states",
+            "check_iso_dual_numeric",
+            "check_cycle_values",
+            "check_bipartite",
+        ]
+
+    @pytest.mark.parametrize("budget", ["1", "10", "64"])
+    def test_small_budget_runs_every_check(self, capsys, budget):
+        code, out, err = run_cli(capsys, "verify", "--all", "--budget", budget)
+        assert code == 0
+        assert len([ln for ln in out.splitlines() if ln.startswith(("PASS ", "FAIL "))]) == 13
+        assert err == ""
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli.checks, "run_all", lambda budget=None: iter([("stub", False, "boom")])
