@@ -22,9 +22,12 @@ def current_budget(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get(ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def within_budget(points, cap: int) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -52,6 +53,17 @@ def _int_at_least_2(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2: {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, rejected with exit code 2 otherwise."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     return value
 
 
@@ -111,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("dual-scan", help="sample (x, lambda_max(H(x))) for the isotropic dual")
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--d", type=int, required=True)
-    p_scan.add_argument("--lo", type=float, default=-1.0)
-    p_scan.add_argument("--hi", type=float, default=1.0)
+    p_scan.add_argument("--lo", type=_finite_float, default=-1.0)
+    p_scan.add_argument("--hi", type=_finite_float, default=1.0)
     p_scan.add_argument("--points", type=_int_at_least_2, default=41)
     p_scan.add_argument("--budget", type=int, default=None)
     p_scan.add_argument("--format", choices=("text", "csv", "json"), default="text")

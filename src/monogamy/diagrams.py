@@ -30,6 +30,17 @@ from .partitions import (
 Scalar = int | Fraction
 
 
+def basis_digits(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of every basis index of (C^d)^(x)n, and the place value of each site.
+
+    Site 0 is the most significant digit: row x of the (d^n, n) digit array
+    holds the digits of index x in lexicographic order, so that
+    digits @ places == arange(d^n). At n = 0 there is one empty row.
+    """
+    digits = np.indices((d,) * n, dtype=np.int64).reshape(n, d ** n).T
+    return digits, d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
 class SiteOperator:
     """Exact rational matrix on (C^d)^(x)n, stored sparsely; n = 2 is a pair operator."""
 
@@ -209,90 +220,58 @@ def compose(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     if a.n != b.n:
         raise ValueError("strand count mismatch")
     n = a.n
-    # nodes ('a', e) and ('b', e); glue a's in endpoint n+k to b's out endpoint k
-    partner_a = {}
-    for p, q in a.pairs:
-        partner_a[p] = q
-        partner_a[q] = p
-    partner_b = {}
-    for p, q in b.pairs:
-        partner_b[p] = q
-        partner_b[q] = p
-
-    def neighbors(node):
-        side, e = node
-        out = [(side, (partner_a if side == "a" else partner_b)[e])]
-        if side == "a" and e >= n:
-            out.append(("b", e - n))
-        elif side == "b" and e < n:
-            out.append(("a", e + n))
-        return out
-
-    free = [("a", k) for k in range(n)] + [("b", n + k) for k in range(n)]
-    visited = set()
-    new_pairs = []
-    for start in free:
-        if start in visited:
-            continue
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [m for m in neighbors(cur) if m != prev]
-            # at a free endpoint mid-walk the only neighbor is where we came from
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
-            if cur in free and cur != start:
-                break
-        # a-out endpoints keep their labels 0..n-1 and b-in endpoints keep n..2n-1
-        new_pairs.append((start[1], cur[1]))
-
+    # a's endpoints are 0..2n-1 and b's are 2n..4n-1; a's in endpoint n+k is glued
+    # to b's out endpoint 2n+k, so the free ends are 0..n-1 and 3n..4n-1
+    partner = {}
+    for shift, diag in ((0, a), (2 * n, b)):
+        for p, q in diag.pairs:
+            partner[shift + p], partner[shift + q] = shift + q, shift + p
+    seen = set()
+    pairs = []
     loops = 0
-    middle = [("a", n + k) for k in range(n)] + [("b", k) for k in range(n)]
-    for start in middle:
-        if start in visited:
+    # free ends first: every strand left after them is a closed loop of middle endpoints
+    for start in [*range(n), *range(3 * n, 4 * n), *range(n, 3 * n)]:
+        if start in seen:
             continue
-        # walk the cycle
-        loops += 1
-        visited.add(start)
-        prev, cur = None, start
+        e = start
         while True:
-            nxt = [m for m in neighbors(cur) if m != prev]
-            if not nxt or nxt[0] == start:
+            end = partner[e]
+            seen.update((e, end))
+            if not n <= end < 3 * n:
+                # free ends keep their labels: a's out 0..n-1, b's in 3n+k becomes n+k
+                pairs.append((start % (2 * n), end % (2 * n)))
                 break
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
-
-    # dedupe: each path found once from each end
-    dedup = {tuple(sorted(p)) for p in new_pairs}
-    return BrauerDiagram(n, dedup), loops
+            e = end + n if end < 2 * n else end - n  # cross the glue
+            if e == start:
+                loops += 1
+                break
+    return BrauerDiagram(n, pairs), loops
 
 
 def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:
     """The 0/1 matrix psi(diag): entry (xbar, x) is 1 iff connected endpoints carry equal values."""
     n = diag.n
-    pair_of = {}
-    for idx, (p, q) in enumerate(diag.pairs):
-        pair_of[p] = idx
-        pair_of[q] = idx
-    place = [d ** (n - 1 - i) for i in range(n)]
-    data = {}
-    for vals in itertools.product(range(d), repeat=n):
-        row = sum(vals[pair_of[i]] * place[i] for i in range(n))
-        col = sum(vals[pair_of[n + i]] * place[i] for i in range(n))
-        data[(row, col)] = 1
-    return SiteOperator(n, d, data)
+    # digit k of a row of `digits` is the value carried by pair k; the pair
+    # adds that value at the place of each of its out (row) and in (column) sites
+    digits, place = basis_digits(n, d)
+    pair_places = np.zeros((n, 2), dtype=np.int64)
+    for k, pair in enumerate(diag.pairs):
+        for e in pair:
+            side, site = divmod(e, n)
+            pair_places[k, side] += place[site]
+    rows, cols = (digits @ pair_places).T.tolist()
+    return SiteOperator(n, d, dict.fromkeys(zip(rows, cols), 1))
 
 
 def pair_operators(d: int) -> tuple[SiteOperator, SiteOperator, SiteOperator]:
     """The unnormalized maximally entangled W, identity I and flip F on two qudits."""
     if d < 2:
         raise ValueError("need d >= 2")
-    w = SiteOperator(2, d, {(a * d + a, b * d + b): 1 for a in range(d) for b in range(d)})
-    ident = SiteOperator.identity(2, d)
-    f = SiteOperator(2, d, {(a * d + b, b * d + a): 1 for a in range(d) for b in range(d)})
-    return w, ident, f
+    return (
+        matrix_rep(BrauerDiagram.bar(2, 0, 1), d),
+        matrix_rep(BrauerDiagram.identity(2), d),
+        matrix_rep(BrauerDiagram.transposition(2, 0, 1), d),
+    )
 
 
 def projectors(d: int) -> tuple[SiteOperator, SiteOperator, SiteOperator]:
@@ -315,19 +294,19 @@ def embed_sum(op: SiteOperator, edges, n: int) -> SiteOperator:
     if op.n != 2:
         raise ValueError(f"need a two-qudit operator (n=2), got n={op.n}")
     d = op.d
-    place = [d ** (n - 1 - i) for i in range(n)]
+    digits, place = basis_digits(n, d)
     data: dict = {}
     for u, v in edges:
         if u == v or not (0 <= u < n) or not (0 <= v < n):
             raise ValueError(f"invalid site pair {(u, v)} for n={n}")
-        rest = [place[k] for k in range(n) if k not in (u, v)]
-        offsets = [sum(w * p for w, p in zip(ws, rest))
-                   for ws in itertools.product(range(d), repeat=n - 2)]
+        # the identity strands: every basis index whose digits at u and v are 0
+        offsets = np.flatnonzero(~digits[:, [u, v]].any(axis=1)).tolist()
+        pu, pv = place[[u, v]].tolist()
         for (r2, c2), val in op.data.items():
             ru, rv = divmod(r2, d)
             cu, cv = divmod(c2, d)
-            base_r = ru * place[u] + rv * place[v]
-            base_c = cu * place[u] + cv * place[v]
+            base_r = ru * pu + rv * pv
+            base_c = cu * pu + cv * pv
             for off in offsets:
                 key = (base_r + off, base_c + off)
                 data[key] = data.get(key, 0) + val
@@ -360,8 +339,7 @@ def young_symmetrizer(lam: Partition, n: int, d: int) -> SiteOperator:
         raise ValueError(f"partition {lam} is not a partition of n={n}")
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than d={d} rows")
-    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
-    place = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    digits, place = basis_digits(n, d)
     cols = range(d ** n)
     acc: dict = {}
     for perm in itertools.permutations(range(n)):

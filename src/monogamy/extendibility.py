@@ -18,7 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import check_budget
-from .diagrams import SiteOperator, pair_operators, projectors, young_symmetrizer
+from .diagrams import (
+    BrauerDiagram,
+    SiteOperator,
+    basis_digits,
+    matrix_rep,
+    pair_operators,
+    projectors,
+    young_symmetrizer,
+)
 from .graphs import Graph, make_family, perfect_matchings
 from .partitions import (
     Partition,
@@ -337,8 +345,8 @@ def reduced_state(rho: SiteOperator, edge: tuple[int, int], n: int, d: int) -> S
         raise ValueError(f"invalid edge {edge} for n={n}")
     if rho.n != n or rho.d != d:
         raise ValueError("state shape mismatch")
-    place = [d ** (n - 1 - i) for i in range(n)]
-    pu, pv = place[u], place[v]
+    _, place = basis_digits(n, d)
+    pu, pv = place[[u, v]].tolist()
     data: dict = {}
     for (r, c), val in rho.data.items():
         ru, rv = (r // pu) % d, (r // pv) % d
@@ -369,11 +377,9 @@ def werner_primal_certificate(
     check_budget(n, d, budget)
     lam = optimal_rectangular_partition(n, d)
     eps = young_symmetrizer(lam, n, d)
-    total = eps.trace()
-    marginal = reduced_state(eps, (0, 1), n, d) * Fraction(1, total)
+    state = eps * Fraction(1, eps.trace())
     _, p_11, _ = projectors(d)
-    achieved = trace_product(p_11, marginal)
-    return eps * Fraction(1, total), achieved
+    return state, trace_product(p_11, reduced_state(state, (0, 1), n, d))
 
 
 def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> SiteOperator:
@@ -382,33 +388,29 @@ def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> Sit
     Even n: uniform mixture over all perfect matchings of products of
     normalized maximally entangled pairs. Odd n: additionally uniform over
     the deleted vertex, which is left maximally mixed. Every edge marginal
-    is isotropic with W-weight 1/(n-1) (even) or 1/n (odd).
+    is isotropic with W-weight 1/(n-1) (even) or 1/n (odd). Each product
+    state is d^-ceil(n/2) times the matrix of the diagram with a bar on
+    each matched pair and an identity strand on the deleted vertex.
     """
     _check_nd(n, d)
     check_budget(n, d, budget)
+    # each state is (matched pairs, identity strands of the diagram)
     if n % 2 == 0:
-        states = [(m, None) for m in perfect_matchings(make_family("complete", n))]
+        states = [(m, []) for m in perfect_matchings(make_family("complete", n))]
     else:
         # perfect matchings of K_{n-1}, relabelled onto the vertices other than v
         rest_matchings = perfect_matchings(make_family("complete", n - 1))
         states = []
         for v in range(n):
             others = [u for u in range(n) if u != v]
-            states += [([(others[a], others[b]) for a, b in m], v) for m in rest_matchings]
-    place = [d ** (n - 1 - i) for i in range(n)]
+            states += [([(others[a], others[b]) for a, b in m], [(v, n + v)])
+                       for m in rest_matchings]
+    weight = Fraction(1, d ** ((n + 1) // 2) * len(states))
     data: dict = {}
-    for pairs, leftover in states:
-        weight = Fraction(1, d ** (len(pairs) + (leftover is not None)) * len(states))
-        offsets = [0] if leftover is None else [w * place[leftover] for w in range(d)]
-        for assign in itertools.product(range(d * d), repeat=len(pairs)):
-            base_r = base_c = 0
-            for (u, v), ab in zip(pairs, assign):
-                a, b = divmod(ab, d)
-                base_r += a * (place[u] + place[v])
-                base_c += b * (place[u] + place[v])
-            for off in offsets:
-                key = (base_r + off, base_c + off)
-                data[key] = data.get(key, 0) + weight
+    for pairs, strands in states:
+        bars = [bar for u, v in pairs for bar in ((u, v), (n + u, n + v))]
+        for key in matrix_rep(BrauerDiagram(n, bars + strands), d).data:
+            data[key] = data.get(key, 0) + weight
     return SiteOperator(n, d, data)
 
 

@@ -132,6 +132,14 @@ class TestSpectrum:
         assert code == 3
         assert "budget" in err
 
+    def test_malformed_env_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONOGAMY_BUDGET", "4k")
+        code, out, err = run_cli(capsys, "spectrum", "--what", "jm-sym", "--n", "3", "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert "MONOGAMY_BUDGET" in err and "'4k'" in err
+        assert "int()" not in err
+
     @pytest.mark.parametrize("what", ["jm-sym", "werner"])
     def test_missing_n_is_usage_error(self, capsys, what):
         code, _, err = run_cli(capsys, "spectrum", "--what", what, "--d", "2")
@@ -231,6 +239,14 @@ class TestDualScan:
             cli.main(["dual-scan", "--n", "3", "--d", "2", "--points", "1"])
         assert exc.value.code == 2
         assert "--points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--lo", "nan"), ("--hi", "inf")])
+    def test_non_finite_bound_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dual-scan", "--n", "3", "--d", "2", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "finite" in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "dual-scan", "--n", "7", "--d", "4")

@@ -11,6 +11,7 @@ from monogamy.diagrams import (
     BrauerDiagram,
     SiteOperator,
     all_diagrams,
+    basis_digits,
     compose,
     embed_sum,
     jm_sum_brauer,
@@ -134,7 +135,33 @@ class TestMatrixRep:
         assert matrix_rep(BrauerDiagram.identity(3), 2) == SiteOperator.identity(3, 2)
 
 
+class TestBasisDigits:
+    @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (2, 3), (3, 4)])
+    def test_lexicographic_site_zero_most_significant(self, n, d):
+        digits, place = basis_digits(n, d)
+        assert digits.tolist() == [list(x) for x in itertools.product(range(d), repeat=n)]
+        assert place.tolist() == [d ** (n - 1 - i) for i in range(n)]
+        assert (digits @ place).tolist() == list(range(d ** n))
+
+    def test_no_sites_is_one_empty_row(self):
+        digits, place = basis_digits(0, 3)
+        assert digits.shape == (1, 0) and place.shape == (0,)
+        assert (digits @ place).tolist() == [0]
+
+
 class TestPairOperators:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_entries_match_explicit_sums(self, d):
+        # W = sum_ab |aa><bb|, I = sum_ab |ab><ab|, F = sum_ab |ab><ba|
+        w, ident, f = pair_operators(d)
+        pairs = list(itertools.product(range(d), repeat=2))
+        assert w.data == {(a * d + a, b * d + b): 1 for a, b in pairs}
+        assert ident.data == {(a * d + b, a * d + b): 1 for a, b in pairs}
+        assert f.data == {(a * d + b, b * d + a): 1 for a, b in pairs}
+        for op in (w, ident, f):
+            assert all(type(k) is int for key in op.data for k in key)
+            assert all(type(v) is int for v in op.data.values())
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_traces(self, d):
         w, ident, f = pair_operators(d)

@@ -1,5 +1,6 @@
 """Closed forms, dual solvers, certificates, states, Brauer region."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogamy.budget import BudgetExceededError
-from monogamy.diagrams import projectors
+from monogamy.diagrams import SiteOperator, embed_sum, pair_operators, projectors
 from monogamy.extendibility import (
     AffineFn,
     ExtendibilityValue,
@@ -206,6 +207,21 @@ class TestMatchingStates:
         target = isotropic_pair_state(Fraction(1, n + n % 2 - 1), d)
         for e in make_family("complete", n).edges:
             assert reduced_state(rho, e, n, d) == target
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (3, 3)])
+    def test_equals_average_of_matching_products(self, n, d):
+        # every matching of n // 2 disjoint edges of K_n, one per state
+        edges = make_family("complete", n).edges
+        states = [m for m in itertools.combinations(edges, n // 2)
+                  if len({v for e in m for v in e}) == 2 * (n // 2)]
+        w, _, _ = pair_operators(d)
+        total = SiteOperator.zero(n, d)
+        for m in states:
+            prod = SiteOperator.identity(n, d) * Fraction(1, d ** (n % 2))
+            for e in m:
+                prod = prod @ embed_sum(w * Fraction(1, d), [e], n)
+            total = total + prod
+        assert matching_lower_bound_state(n, d) == total * Fraction(1, len(states))
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
