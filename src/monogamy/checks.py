@@ -25,7 +25,14 @@ from .diagrams import (
     matrix_rep,
 )
 from .graphs import make_family, perfect_matchings
-from .partitions import content, enumerate_sym_irreps, gl_dim, size, sym_dim
+from .partitions import (
+    brauer_jm_eigenvalue,
+    content,
+    enumerate_brauer_irreps,
+    enumerate_sym_irreps,
+    gl_dim,
+    sym_dim,
+)
 from .spectral import joint_spectrum, sym_eigen
 
 ORACLE_TOL = 1e-9
@@ -91,8 +98,6 @@ def check_brauer_composition(cap: int) -> tuple[str, bool, str]:
 
 
 def check_jm_spectra(cap: int) -> tuple[str, bool, str]:
-    from .partitions import enumerate_brauer_irreps
-
     bad = []
     points = within_budget([(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)], cap)
     for n, d in points:
@@ -107,10 +112,7 @@ def check_jm_spectra(cap: int) -> tuple[str, bool, str]:
             bad.append(("sym", n, d))
 
         jb = jm_sum_brauer(n, d)
-        allowed = {
-            Fraction(2 * content(lam) - (n - size(lam)) * (d - 1), 2)
-            for lam in enumerate_brauer_irreps(n, d)
-        }
+        allowed = {brauer_jm_eigenvalue(lam, n, d) for lam in enumerate_brauer_irreps(n, d)}
         bspec = sym_eigen(jb)
         if bspec.dimension != d ** n or not all(
             any(abs(v - float(a)) <= SPEC_TOL for a in allowed) for v in bspec.eigenvalues
@@ -127,11 +129,7 @@ def check_joint_spectrum_easy_pairs(cap: int) -> tuple[str, bool, str]:
     for n, d in points:
         js = joint_spectrum(jm_sum_sym(n, d), jm_sum_brauer(n, d))
         predicted = {
-            (
-                content(mu),
-                Fraction(2 * content(lam) - (n - size(lam)) * (d - 1), 2),
-            )
-            for lam, mu in ext.okada_easy_pairs(n, d)
+            (content(mu), brauer_jm_eigenvalue(lam, n, d)) for lam, mu in ext.okada_easy_pairs(n, d)
         }
         for a, b in predicted:
             if not any(

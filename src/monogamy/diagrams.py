@@ -37,6 +37,8 @@ def basis_digits(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     holds the digits of index x in lexicographic order, so that
     digits @ places == arange(d^n). At n = 0 there is one empty row.
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     digits = np.indices((d,) * n, dtype=np.int64).reshape(n, d ** n).T
     return digits, d ** np.arange(n - 1, -1, -1, dtype=np.int64)
 

@@ -30,13 +30,13 @@ from .diagrams import (
 from .graphs import Graph, make_family, perfect_matchings
 from .partitions import (
     Partition,
+    brauer_jm_eigenvalue,
     check_partition,
     content,
     enumerate_brauer_irreps,
     enumerate_sym_irreps,
     odd_row_count,
     optimal_rectangular_partition,
-    size,
 )
 from .spectral import edge_sum, float_pair_operators, lambda_max
 
@@ -115,7 +115,6 @@ class AffineFn:
     offset: Fraction
     lam: Partition = ()
     mu: Partition = ()
-    r: int = 0
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.offset + self.slope * x
@@ -173,26 +172,12 @@ def okada_easy_pairs(n: int, d: int) -> list[tuple[Partition, Partition]]:
     3. mu the single row (n): lambda a single row (n - 2r).
     """
     _check_nd(n, d)
-    sym = enumerate_sym_irreps(n, d)
-    brauer = enumerate_brauer_irreps(n, d)
-    brauer_set = set(brauer)
-    pairs = set()
-    for m in range(n % 2, min(d, n) + 1, 2):
-        lam = (1,) * m
-        if lam not in brauer_set:
-            continue
-        for mu in sym:
-            if odd_row_count(mu) == m:
-                pairs.add((lam, mu))
-    for lam in brauer:
-        if size(lam) == n and lam in sym:
-            pairs.add((lam, lam))
-    mu_row = (n,)
-    for r in range(n // 2 + 1):
-        lam = (n - 2 * r,) if n - 2 * r > 0 else ()
-        if lam in brauer_set:
-            pairs.add((lam, mu_row))
-    return sorted(pairs)
+    sym = set(enumerate_sym_irreps(n, d))
+    brauer = set(enumerate_brauer_irreps(n, d))
+    column = {(col, mu) for mu in sym if (col := (1,) * odd_row_count(mu)) in brauer}
+    full = {(lam, lam) for lam in sym & brauer}
+    row = {(lam, (n,)) for lam in brauer if len(lam) <= 1}
+    return sorted(column | full | row)
 
 
 def special_partitions(n: int, d: int) -> dict[str, Partition]:
@@ -211,26 +196,15 @@ def special_partitions(n: int, d: int) -> dict[str, Partition]:
     }
 
 
-def iso_affine_fn(lam: Partition, mu: Partition, n: int, d: int) -> AffineFn:
-    """The eigenvalue branch f_{mu,lambda}(x) of the isotropic dual Hamiltonian."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    edges = Fraction(n * (n - 1), 2)
-    r = (n - size(lam)) // 2
-    offset = Fraction(1, d - 1) * (Fraction(d * content(mu)) / edges - 1)
-    slope = Fraction(content(lam) + d * content(mu) - r * (d - 1)) - edges
-    return AffineFn(slope, offset, lam, mu, r)
-
-
 def iso_affine_family(n: int, d: int) -> list[AffineFn]:
-    """Affine branches over the easy-rule pairs plus the named special pairs."""
-    pairs = set(okada_easy_pairs(n, d))
-    if n >= d and n % 2 == 1 and d % 2 == 1:
-        sp = special_partitions(n, d)
-        pairs.add((sp["lambda1"], sp["mu2"]))
-        pairs.add((sp["lambda1"], sp["mu3"]))
-        pairs.add((sp["lambda2"], sp["mu1"]))
-    return [iso_affine_fn(lam, mu, n, d) for lam, mu in sorted(pairs)]
+    """Eigenvalue branches f_{mu,lambda}(x) of the isotropic dual, one per easy-rule pair."""
+    edges = Fraction(n * (n - 1), 2)
+    out = []
+    for lam, mu in okada_easy_pairs(n, d):
+        c = content(mu)
+        slope = brauer_jm_eigenvalue(lam, n, d) + d * c - edges
+        out.append(AffineFn(slope, (d * c / edges - 1) / (d - 1), lam, mu))
+    return out
 
 
 def isotropic_dual_minimax(n: int, d: int) -> Fraction:
@@ -249,13 +223,11 @@ def q0_affine_family(n: int, d: int) -> list[AffineFn]:
     _check_nd(n, d)
     edges = Fraction(n * (n - 1), 2)
     mu = (n,)
-    out = []
-    for r in range(n // 2 + 1):
-        lam = (n - 2 * r,) if n - 2 * r > 0 else ()
-        offset = Fraction(content(mu) - content(lam) + (n - size(lam)) * (d - 1) // 2) / (d * edges)
-        slope = Fraction(1, d) * (1 - Fraction(content(mu)) / edges)
-        out.append(AffineFn(slope, offset, lam, mu, r))
-    return out
+    c = content(mu)
+    slope = (1 - c / edges) / d
+    rows = [(n - 2 * r,) if n - 2 * r > 0 else () for r in range(n // 2 + 1)]
+    return [AffineFn(slope, (c - brauer_jm_eigenvalue(lam, n, d)) / (d * edges), lam, mu)
+            for lam in rows]
 
 
 def q0_dual_value(n: int, d: int) -> Fraction:
@@ -304,7 +276,10 @@ def iso_dual_hamiltonian(n: int, d: int, x: float):
     g = make_family("complete", n)
     w, ident, f = float_pair_operators(d)
     c = 1.0 / (g.edge_count * (1 - d))
-    return edge_sum(n, d, g.edges, (c - x) * (ident - d * f) + x * (f - w))
+    pair = (c - x) * (ident - d * f) + x * (f - w)
+    if not np.isfinite(pair).all():
+        raise ValueError(f"dual Hamiltonian pair operator at x={x} is not finite")
+    return edge_sum(n, d, g.edges, pair)
 
 
 def iso_dual_numeric(n: int, d: int, budget: int | None = None) -> float:

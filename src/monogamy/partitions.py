@@ -53,6 +53,11 @@ def content(lam: Partition) -> int:
     return sum(j - i for i, p in enumerate(lam) for j in range(p))
 
 
+def brauer_jm_eigenvalue(lam: Partition, n: int, d: int) -> Fraction:
+    """Eigenvalue c(lam) - (n - |lam|)(d - 1)/2 of the Brauer sum of (F - W) on label lam."""
+    return content(lam) - Fraction((n - size(lam)) * (d - 1), 2)
+
+
 def odd_row_count(mu: Partition) -> int:
     """Number of rows of odd length, written r(mu)."""
     mu = check_partition(mu)

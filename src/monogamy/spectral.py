@@ -60,19 +60,10 @@ def _require_symmetric(m: SiteOperator):
         raise ValueError("operator is not symmetric")
 
 
-def sym_eigen(m: SiteOperator, *, vectors: bool = False):
-    """Eigenvalues of an exact symmetric operator, clustered at CLUSTER_TOL.
-
-    With vectors=True also returns the raw (eigenvalues, eigenvectors)
-    arrays from the dense solve.
-    """
+def sym_eigen(m: SiteOperator) -> Spectrum:
+    """Eigenvalues of an exact symmetric operator, clustered at CLUSTER_TOL."""
     _require_symmetric(m)
-    w, v = np.linalg.eigh(m.to_dense())
-    reps, counts = cluster(w)
-    spec = Spectrum(reps, counts)
-    if vectors:
-        return spec, w, v
-    return spec
+    return Spectrum(*cluster(np.linalg.eigvalsh(m.to_dense())))
 
 
 def float_pair_operators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

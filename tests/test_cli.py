@@ -155,6 +155,13 @@ class TestSpectrum:
         assert out == ""
         assert err.startswith("error:") and "--graph" in err
 
+    @pytest.mark.parametrize("what,n", [("jm-sym", "-1"), ("jm-brauer", "-2")])
+    def test_negative_n_is_usage_error(self, capsys, what, n):
+        code, out, err = run_cli(capsys, "spectrum", "--what", what, "--n", n, "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "n >= 0" in err
+
 
 class TestMatchings:
     def test_missing_graph_source_is_usage_error(self, capsys):
@@ -247,6 +254,15 @@ class TestDualScan:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and "finite" in err
+
+    def test_overflowing_range_is_usage_error(self, capsys):
+        # hi - lo overflows to inf, so the scan points are not finite
+        code, out, err = run_cli(capsys, "dual-scan", "--n", "3", "--d", "2",
+                                 "--lo=-1e308", "--hi=1e308")
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err and "x=" in err
+        assert "symmetric" not in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "dual-scan", "--n", "7", "--d", "4")

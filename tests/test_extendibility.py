@@ -1,6 +1,7 @@
 """Closed forms, dual solvers, certificates, states, Brauer region."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogamy.budget import BudgetExceededError
-from monogamy.diagrams import SiteOperator, embed_sum, pair_operators, projectors
+from monogamy.checks import SPEC_TOL
+from monogamy.diagrams import (
+    SiteOperator,
+    embed_sum,
+    jm_sum_brauer,
+    jm_sum_sym,
+    pair_operators,
+    projectors,
+)
 from monogamy.extendibility import (
     AffineFn,
     ExtendibilityValue,
@@ -40,6 +49,8 @@ from monogamy.extendibility import (
     werner_primal_certificate,
 )
 from monogamy.graphs import make_family
+from monogamy.partitions import brauer_jm_eigenvalue, content
+from monogamy.spectral import joint_spectrum
 
 
 class TestClosedFormsAgainstGoldenTables:
@@ -151,6 +162,41 @@ class TestDualSolvers:
         assert sp["mu1"] == (5,)
         assert sp["mu2"] == (3, 1, 1)
         assert sum(sp["mu3"]) == 5
+
+    @pytest.mark.parametrize("d", range(3, 26, 2))
+    def test_special_pairs_are_easy_pairs(self, d):
+        # mu2 and mu3 have exactly d odd rows (rule 1 with lambda1); (lambda2, mu1) is rule 3
+        for n in range(d, 26, 2):
+            pairs = set(okada_easy_pairs(n, d))
+            sp = special_partitions(n, d)
+            assert (sp["lambda1"], sp["mu2"]) in pairs
+            assert (sp["lambda1"], sp["mu3"]) in pairs
+            assert (sp["lambda2"], sp["mu1"]) in pairs
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (3, 4)])
+    def test_easy_pairs_span_joint_spectrum_hull(self, n, d):
+        # the easy-rule points (c(mu), Brauer JM eigenvalue of lam) have the same
+        # support function as the float joint spectrum of the two JM sums
+        spectrum = joint_spectrum(jm_sum_sym(n, d), jm_sum_brauer(n, d)).pairs
+        easy = [(content(mu), float(brauer_jm_eigenvalue(lam, n, d)))
+                for lam, mu in okada_easy_pairs(n, d)]
+        for k in range(16):
+            a, b = math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)
+            got = max(a * x + b * y for x, y in spectrum)
+            want = max(a * x + b * y for x, y in easy)
+            assert got == pytest.approx(want, abs=SPEC_TOL)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_q0_over_all_easy_pairs_matches_row_labels(self, n, d):
+        # q0_affine_family keeps only mu = (n); the other labels never reach the envelope
+        edges = Fraction(n * (n - 1), 2)
+        fns = []
+        for lam, mu in okada_easy_pairs(n, d):
+            c = content(mu)
+            fns.append(AffineFn((1 - c / edges) / d,
+                                (c - brauer_jm_eigenvalue(lam, n, d)) / (d * edges), lam, mu))
+        assert minimize_max_affine(fns)[1] == q0_dual_value(n, d)
 
     def test_numeric_dual(self):
         assert iso_dual_numeric(4, 2) == pytest.approx(float(p_iso_prime(4, 2)), abs=1e-8)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monogamy.partitions import (
+    brauer_jm_eigenvalue,
     check_partition,
     class_size,
     conjugate,
@@ -66,6 +67,21 @@ class TestBasics:
     @given(partition_strategy)
     def test_content_antisymmetric_under_transpose(self, lam):
         assert content(lam) + content(conjugate(lam)) == 0
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_brauer_jm_eigenvalue_two_sites(self, d):
+        # F - W on two qudits: 1 on P_2, -1 on P_11, 1 - d on P_empty
+        assert brauer_jm_eigenvalue((2,), 2, d) == 1
+        assert brauer_jm_eigenvalue((1, 1), 2, d) == -1
+        assert brauer_jm_eigenvalue((), 2, d) == 1 - d
+
+    def test_brauer_jm_eigenvalue_shift_per_removed_pair(self):
+        # each of the r = (n - |lam|)/2 removed pairs shifts c(lam) by -(d - 1)
+        assert brauer_jm_eigenvalue((1,), 3, 2) == -1
+        assert brauer_jm_eigenvalue((1,), 3, 4) == -3
+        assert brauer_jm_eigenvalue((), 4, 2) == -2
+        assert brauer_jm_eigenvalue((2,), 4, 3) == -1
+        assert brauer_jm_eigenvalue((2, 1), 7, 3) == -4
 
     def test_odd_row_count(self):
         assert odd_row_count((3, 2, 1)) == 2

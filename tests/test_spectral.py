@@ -49,13 +49,6 @@ class TestSymEigen:
         assert spec.eigenvalues == pytest.approx((0.0, 2.0), abs=1e-12)
         assert spec.multiplicities == (3, 1)
 
-    def test_reconstruction(self):
-        _, p_11, _ = projectors(3)
-        h = edge_average_hamiltonian(make_family("complete", 3), p_11)
-        _, w, v = sym_eigen(h, vectors=True)
-        dense = h.to_dense()
-        assert np.max(np.abs(v @ np.diag(w) @ v.T - dense)) < 1e-8
-
     def test_jm_sym_42_multiset(self):
         # two-row labels of size 4: contents 6, 2, 0 with total dims 5, 9, 2
         spec = sym_eigen(jm_sum_sym(4, 2))
