@@ -1,9 +1,10 @@
 """Dense-matrix budget guard for d^n-sized constructions.
 
 The default cap is d^n <= 4096; the MONOGAMY_BUDGET environment variable
-overrides it. Oversized requests raise BudgetExceededError instead of
-silently switching algorithms; `within_budget` selects the points of a
-grid that a cap allows, by the same rule.
+overrides it. A cap below 1 is a ValueError. Oversized requests raise
+BudgetExceededError instead of silently switching algorithms;
+`within_budget` selects the points of a grid that a cap allows, by the
+same rule.
 """
 
 from __future__ import annotations
@@ -19,15 +20,20 @@ class BudgetExceededError(Exception):
 
 
 def current_budget(override: int | None = None) -> int:
+    """The cap: `override` (--budget, budget=) if given, else the environment, else the default."""
     if override is not None:
-        return int(override)
-    env = os.environ.get(ENV_VAR)
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
+        cap, source = int(override), "budget"
+    else:
+        env = os.environ.get(ENV_VAR)
+        if env is None:
+            return DEFAULT_BUDGET
+        try:
+            cap, source = int(env), ENV_VAR
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def within_budget(points, cap: int) -> list[tuple[int, int]]:

@@ -1,18 +1,21 @@
 """Cross-verification suite: closed forms vs independent oracles.
 
 `CHECKS` is the one list of checks, in run order. Each check takes the
-dense-matrix cap and returns (name, passed, detail). A check that builds
-d^n-sized data runs only the (n, d) points of its grid that
-`budget.within_budget` allows, so no cap makes it raise, and its detail
-says how many points ran; the three that build no d^n data (dual solvers,
-PPT region, asymptotics) ignore the cap. `run_all` resolves the cap once
-and runs every check. The CLI `verify` subcommand prints the results and
-exits nonzero on any failure; the acceptance tests call the same checks.
+dense-matrix cap, lists what disagrees and returns through `verdict`, the
+one place that judges a check (it passes iff that list is empty) and words
+its (name, passed, detail) result. A check that builds d^n-sized data runs
+only the (n, d) points of its grid that `budget.within_budget` allows, so
+no cap makes it raise, and its detail says how many points ran; the three
+that build no d^n data (dual solvers, PPT region, asymptotics) ignore the
+cap. `run_all` resolves the cap once and runs every check. The CLI
+`verify` subcommand prints the results and exits nonzero on any failure;
+the acceptance tests call the same checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .budget import current_budget, within_budget
@@ -37,6 +40,15 @@ from .spectral import joint_spectrum, sym_eigen
 
 ORACLE_TOL = 1e-9
 SPEC_TOL = 1e-8
+SHOWN = 5  # failing entries a FAIL detail lists
+
+
+def verdict(name: str, bad: list, summary: str) -> tuple[str, bool, str]:
+    """Pass iff `bad` is empty, with `summary` as detail; else list bad[:SHOWN] and the count."""
+    if not bad:
+        return name, True, summary
+    shown = "; ".join(str(entry) for entry in bad[:SHOWN])
+    return name, False, f"mismatches: {shown} ({len(bad)} in all)"
 
 
 def grid_pairs(cap: int, n_max: int = 12, d_max: int = 9):
@@ -57,11 +69,7 @@ def check_dual_solvers_exact(cap: int) -> tuple[str, bool, str]:
     x, v, _ = ext.isotropic_dual_argmin(5, 3)
     if (x, v) != (Fraction(-3, 62), Fraction(7, 31)):
         bad.append(("iso-argmin", 5, 3, x, v))
-    return (
-        "dual-solvers-exact",
-        not bad,
-        f"mismatches: {bad}" if bad else "2<=n,d<=9, (5,3) optimum at (-3/62, 7/31)",
-    )
+    return verdict("dual-solvers-exact", bad, "2<=n,d<=9, (5,3) optimum at (-3/62, 7/31)")
 
 
 def check_oracle_closed_forms(cap: int) -> tuple[str, bool, str]:
@@ -73,28 +81,21 @@ def check_oracle_closed_forms(cap: int) -> tuple[str, bool, str]:
             bad.append(("werner", n, d))
         if abs(ext.p_avg_numeric(g, "brauer", d, cap) - float(ext.p_b_complete(n, d))) > ORACLE_TOL:
             bad.append(("brauer", n, d))
-    return (
-        "oracle-closed-forms",
-        not bad,
-        f"mismatches: {bad}" if bad else f"{len(pairs)} (n,d) grid points, tol {ORACLE_TOL}",
-    )
+    return verdict("oracle-closed-forms", bad, f"{len(pairs)} (n,d) grid points, tol {ORACLE_TOL}")
 
 
 def check_brauer_composition(cap: int) -> tuple[str, bool, str]:
     diagrams = all_diagrams(3)
     points = within_budget([(3, 2), (3, 3)], cap)
-    bad = 0
+    bad = []
     for _, d in points:
         reps = {dg: matrix_rep(dg, d) for dg in diagrams}
-        for a, b in itertools.product(diagrams, repeat=2):
+        for (i, a), (j, b) in itertools.product(enumerate(diagrams), repeat=2):
             result, loops = compose(a, b)
             if reps[a] @ reps[b] != reps[result] * (d ** loops):
-                bad += 1
-    return (
-        "brauer-composition",
-        bad == 0,
-        f"{bad} failures" if bad else f"225 ordered pairs, exact, at {len(points)} (n,d) points",
-    )
+                bad.append((d, i, j))
+    summary = f"225 ordered pairs, exact, at {len(points)} (n,d) points"
+    return verdict("brauer-composition", bad, summary)
 
 
 def check_jm_spectra(cap: int) -> tuple[str, bool, str]:
@@ -120,7 +121,7 @@ def check_jm_spectra(cap: int) -> tuple[str, bool, str]:
             bad.append(("brauer", n, d))
         if js @ jb != jb @ js:
             bad.append(("commute", n, d))
-    return ("jm-spectra", not bad, f"mismatches: {bad}" if bad else f"{len(points)} (n,d) pairs")
+    return verdict("jm-spectra", bad, f"{len(points)} (n,d) pairs")
 
 
 def check_joint_spectrum_easy_pairs(cap: int) -> tuple[str, bool, str]:
@@ -137,13 +138,8 @@ def check_joint_spectrum_easy_pairs(cap: int) -> tuple[str, bool, str]:
                 for pa, pb in js.pairs
             ):
                 bad.append((n, d, a, b))
-    return (
-        "joint-spectrum-easy-pairs",
-        not bad,
-        f"missing pairs: {bad}"
-        if bad
-        else f"easy-rule pairs appear in joint spectra at {len(points)} (n,d) pairs",
-    )
+    summary = f"easy-rule pairs appear in joint spectra at {len(points)} (n,d) pairs"
+    return verdict("joint-spectrum-easy-pairs", bad, summary)
 
 
 def check_primal_certificates(cap: int) -> tuple[str, bool, str]:
@@ -154,21 +150,15 @@ def check_primal_certificates(cap: int) -> tuple[str, bool, str]:
         _, achieved = ext.werner_primal_certificate(n, d, cap)
         if achieved != ext.p_w_complete(n, d):
             bad.append((n, d))
-    return (
-        "werner-primal-certificates",
-        not bad,
-        f"mismatches: {bad}" if bad else f"{len(points)} certificates, exact rational equality",
-    )
+    summary = f"{len(points)} certificates, exact rational equality"
+    return verdict("werner-primal-certificates", bad, summary)
 
 
 def check_matching_states(cap: int) -> tuple[str, bool, str]:
     bad = []
     for m in range(1, 6):
         got = len(perfect_matchings(make_family("complete", 2 * m)))
-        want = 1
-        for k in range(1, 2 * m, 2):
-            want *= k
-        if got != want:
+        if got != math.prod(range(1, 2 * m, 2)):
             bad.append(("count", 2 * m))
     points = within_budget([(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)], cap)
     for n, d in points:
@@ -177,13 +167,8 @@ def check_matching_states(cap: int) -> tuple[str, bool, str]:
         for e in make_family("complete", n).edges:
             if ext.reduced_state(rho, e, n, d) != target:
                 bad.append((n, d, e))
-    return (
-        "matching-lower-bound-states",
-        not bad,
-        f"mismatches: {bad}"
-        if bad
-        else f"counts (2m-1)!! and exact marginals at {len(points)} (n,d) points",
-    )
+    summary = f"counts (2m-1)!! and exact marginals at {len(points)} (n,d) points"
+    return verdict("matching-lower-bound-states", bad, summary)
 
 
 def check_ppt_region(cap: int) -> tuple[str, bool, str]:
@@ -194,11 +179,7 @@ def check_ppt_region(cap: int) -> tuple[str, bool, str]:
                 p, q = Fraction(i, 100), Fraction(j, 100)
                 if ext.brauer_is_separable(p, q, d) != ext.brauer_is_ppt(p, q, d):
                     bad.append((d, p, q))
-    return (
-        "ppt-separability-region",
-        not bad,
-        f"mismatches: {bad[:5]}" if bad else "101x101 grid at d in {2,3}",
-    )
+    return verdict("ppt-separability-region", bad, "101x101 grid at d in {2,3}")
 
 
 def check_iso_dual_numeric(cap: int) -> tuple[str, bool, str]:
@@ -208,28 +189,20 @@ def check_iso_dual_numeric(cap: int) -> tuple[str, bool, str]:
         got = ext.iso_dual_numeric(n, d, cap)
         if abs(got - float(ext.p_iso_prime(n, d))) > SPEC_TOL:
             bad.append((n, d, got))
-    return (
-        "isotropic-dual-numeric",
-        not bad,
-        f"mismatches: {bad}"
-        if bad
-        else f"golden-section minimum at {len(points)} (n,d) points, tol {SPEC_TOL}",
-    )
+    summary = f"golden-section minimum at {len(points)} (n,d) points, tol {SPEC_TOL}"
+    return verdict("isotropic-dual-numeric", bad, summary)
 
 
 def check_cycle_values(cap: int) -> tuple[str, bool, str]:
     points = within_budget([(4, 2), (6, 2), (8, 2), (10, 2)], cap)
     vals = [ext.cycle_werner_value(n, cap) for n, _ in points]
-    ok = (
-        all(abs(v - 0.75) <= ORACLE_TOL for v in vals[:1])  # C_4, if it ran, is 3/4
-        and all(a > b for a, b in zip(vals, vals[1:]))
-        and all(v > ext.LN2 for v in vals)
-    )
-    return (
-        "cycle-werner-values",
-        ok,
-        f"{len(vals)} cycles from C_4, values {vals}, strictly decreasing, all above ln 2",
-    )
+    # every value lies above ln 2 and below the one before; C_4, if it ran, is 3/4
+    bad = [
+        (n, v) for (n, _), v, before in zip(points, vals, [math.inf] + vals)
+        if not ext.LN2 < v < before or (n == 4 and abs(v - 0.75) > ORACLE_TOL)
+    ]
+    summary = f"{len(vals)} cycles from C_4, values {vals}, strictly decreasing, all above ln 2"
+    return verdict("cycle-werner-values", bad, summary)
 
 
 def check_conjecture_probe(cap: int) -> tuple[str, bool, str]:
@@ -240,21 +213,16 @@ def check_conjecture_probe(cap: int) -> tuple[str, bool, str]:
             rep = ext.conjecture_probe(g, "werner", d, grid=21, budget=cap)
             if not (-1e-9 <= rep["gap"] <= rep["tolerance"]):
                 bad.append((g.family_tag, rep["gap"]))
-    return (
-        "conjecture-probe",
-        not bad,
-        f"gaps outside tolerance: {bad}"
-        if bad
-        else f"signed vs simplex minima agree at {len(points)} (n,d) points (observation)",
-    )
+    summary = f"signed vs simplex minima agree at {len(points)} (n,d) points (observation)"
+    return verdict("conjecture-probe", bad, summary)
 
 
 def check_bipartite(cap: int) -> tuple[str, bool, str]:
     g = make_family("complete_bipartite", 2, 3)
     got = [ext.p_avg_numeric(g, "brauer", d, cap) for _, d in within_budget([(5, 2)], cap)]
     want = float(ext.p_iso_bipartite(2, 3, 2))
-    ok = all(abs(v - want) <= ORACLE_TOL for v in got)
-    return ("bipartite-value", ok, f"K_(2,3) numeric {got} vs closed form {want}")
+    bad = [v for v in got if abs(v - want) > ORACLE_TOL]
+    return verdict("bipartite-value", bad, f"K_(2,3) numeric {got} vs closed form {want}")
 
 
 def check_asymptotics(cap: int) -> tuple[str, bool, str]:
@@ -267,7 +235,7 @@ def check_asymptotics(cap: int) -> tuple[str, bool, str]:
         bad.append("werner-n-limit")
     if ext.asymptotic_limit("isotropic_prime", "n", d=3) != 0:
         bad.append("iso-prime-n-limit")
-    return ("asymptotic-limits", not bad, f"failures: {bad}" if bad else "large-d closeness and limit values")
+    return verdict("asymptotic-limits", bad, "large-d closeness and limit values")
 
 
 # a list, not a tuple: callers may rebind its items (perfbench's tracer does)

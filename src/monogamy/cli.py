@@ -144,19 +144,24 @@ def cmd_value(args, out) -> int:
         json.dump(value_to_json(result), out)
         out.write("\n")
     elif args.format == "csv":
+        keys = _record_keys(result)
         writer = csv.writer(out)
-        writer.writerow(["family", "n", "d", "value", "decimal", "method"])
-        writer.writerow([result.family, result.n, result.d, frac_str(val), float(val), result.method])
+        writer.writerow(keys + ["value", "decimal", "method"])
+        place = [getattr(result, k) for k in keys]
+        writer.writerow(place + [frac_str(val), float(val), result.method])
     else:
         out.write(f"{frac_str(val)} ({float(val):.10g})\n")
     return EXIT_OK
 
 
+def _record_keys(result: ext.ExtendibilityValue) -> list[str]:
+    """The fields that place a value: m only for the bipartite graph K_{n,m}."""
+    return ["family", "n", "d"] if result.m is None else ["family", "n", "m", "d"]
+
+
 def value_to_json(result: ext.ExtendibilityValue) -> dict:
     return {
-        "family": result.family,
-        "n": result.n,
-        "d": result.d,
+        **{k: getattr(result, k) for k in _record_keys(result)},
         "value": {"num": result.value.numerator, "den": result.value.denominator},
         "method": result.method,
     }
@@ -166,42 +171,27 @@ def value_from_json(obj: dict) -> ext.ExtendibilityValue:
     return ext.ExtendibilityValue(
         Fraction(obj["value"]["num"], obj["value"]["den"]),
         obj["family"],
-        f"K_{obj['n']}",
         obj["n"],
         obj["d"],
+        obj.get("m"),
         obj["method"],
     )
 
 
 def table_cells(family: str, top: int):
-    fn = {
-        "werner": ext.p_w_complete,
-        "brauer": ext.p_b_complete,
-        "isotropic": ext.p_iso,
-        "isotropic_prime": ext.p_iso_prime,
-    }[family]
+    fn = ext.CLOSED_FORMS[family]
     return [[fn(n, d) for n in range(2, top + 1)] for d in range(2, top + 1)]
 
 
 def cmd_table(args, out) -> int:
     family = _family_key(args.family)
-    cells = table_cells(family, args.max)
     ns = list(range(2, args.max + 1))
     if args.format == "json":
-        rows = [
-            {
-                "family": family,
-                "n": n,
-                "d": d,
-                "value": {"num": v.numerator, "den": v.denominator},
-                "method": "closed_form",
-            }
-            for d, row in zip(ns, cells)
-            for n, v in zip(ns, row)
-        ]
-        json.dump(rows, out)
+        json.dump([value_to_json(ext.compute_value(family, n, d)) for d in ns for n in ns], out)
         out.write("\n")
-    elif args.format == "csv":
+        return EXIT_OK
+    cells = table_cells(family, args.max)
+    if args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(["d\\n"] + [str(n) for n in ns])
         for d, row in zip(ns, cells):

@@ -24,7 +24,6 @@ from .diagrams import (
     basis_digits,
     matrix_rep,
     pair_operators,
-    projectors,
     young_symmetrizer,
 )
 from .graphs import Graph, make_family, perfect_matchings
@@ -42,21 +41,24 @@ from .spectral import edge_sum, float_pair_operators, lambda_max
 
 LN2 = math.log(2.0)
 
-FAMILIES = ("werner", "brauer", "isotropic", "isotropic_prime")
-
 
 @dataclass(frozen=True)
 class ExtendibilityValue:
+    """A value on K_n, or on K_{n,m} when m is set."""
     value: Fraction
     family: str
-    graph: str
     n: int
     d: int
+    m: int | None = None
     method: str = "closed_form"
 
     def __post_init__(self):
         if not 0 <= self.value <= 1:
             raise ValueError(f"extendibility value {self.value} outside [0,1]")
+
+    @property
+    def graph(self) -> str:
+        return f"K_{self.n}" if self.m is None else f"K_{{{self.n},{self.m}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,15 @@ def p_iso_bipartite(n: int, m: int, d: int) -> Fraction:
 def _check_nd(n: int, d: int):
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
+
+
+# family -> closed form p(n, d) on K_n; every family dispatch reads this
+CLOSED_FORMS = {
+    "werner": p_w_complete,
+    "brauer": p_b_complete,
+    "isotropic": p_iso,
+    "isotropic_prime": p_iso_prime,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +364,9 @@ def werner_primal_certificate(
     lam = optimal_rectangular_partition(n, d)
     eps = young_symmetrizer(lam, n, d)
     state = eps * Fraction(1, eps.trace())
-    _, p_11, _ = projectors(d)
-    return state, trace_product(p_11, reduced_state(state, (0, 1), n, d))
+    _, ident, f = pair_operators(d)
+    # the weight on P_11 = (I - F)/2
+    return state, trace_product(ident - f, reduced_state(state, (0, 1), n, d)) / 2
 
 
 def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> SiteOperator:
@@ -499,7 +511,7 @@ def conjecture_probe(g: Graph, which: str, d: int, grid: int = 21,
 def asymptotic_limit(family: str, var: str, n: int | None = None,
                      d: int | None = None) -> Fraction:
     """Exact limits of the closed forms as n or d grows."""
-    if family not in FAMILIES:
+    if family not in CLOSED_FORMS:
         raise ValueError(f"unknown family {family!r}")
     if var == "d":
         if family == "werner":
@@ -521,20 +533,13 @@ def asymptotic_limit(family: str, var: str, n: int | None = None,
 
 
 def compute_value(family: str, n: int, d: int, m: int | None = None) -> ExtendibilityValue:
-    """Closed-form value wrapped with its metadata."""
-    if family == "werner":
-        val = p_w_complete(n, d)
-    elif family == "brauer":
-        val = p_b_complete(n, d)
-    elif family == "isotropic":
-        val = p_iso(n, d)
-    elif family == "isotropic_prime":
-        val = p_iso_prime(n, d)
-    elif family == "isotropic_bipartite":
+    """Closed-form value wrapped with its metadata; m is the second part of K_{n,m}."""
+    if family == "isotropic_bipartite":
         if m is None:
             raise ValueError("bipartite value needs m")
-        val = p_iso_bipartite(n, m, d)
-        return ExtendibilityValue(val, "isotropic", f"K_{{{n},{m}}}", n, d)
-    else:
+        return ExtendibilityValue(p_iso_bipartite(n, m, d), "isotropic", n, d, m)
+    if family not in CLOSED_FORMS:
         raise ValueError(f"unknown family {family!r}")
-    return ExtendibilityValue(val, family, f"K_{n}", n, d)
+    if m is not None:
+        raise ValueError(f"m applies to the bipartite family only, not {family!r}")
+    return ExtendibilityValue(CLOSED_FORMS[family](n, d), family, n, d)

@@ -59,6 +59,35 @@ class TestValue:
         assert code == 0
         assert out.startswith("2/3 ")
 
+    def test_bipartite_record_carries_m(self, capsys):
+        argv = ["value", "--family", "isotropic-bipartite", "--n", "2", "--m", "3", "--d", "2"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj == {
+            "family": "isotropic",
+            "n": 2,
+            "m": 3,
+            "d": 2,
+            "value": {"num": 2, "den": 3},
+            "method": "closed_form",
+        }
+        restored = cli.value_from_json(obj)
+        assert (restored.graph, restored.m, restored.value) == ("K_{2,3}", 3, Fraction(2, 3))
+        assert cli.value_to_json(restored) == obj
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["family", "n", "m", "d", "value", "decimal", "method"]
+        assert rows[1][:5] == ["isotropic", "2", "3", "2", "2/3"]
+
+    def test_m_with_complete_graph_family_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "value", "--family", "werner", "--n", "3", "--d", "2", "--m", "7"
+        )
+        assert code == 2
+        assert out == ""
+        assert "bipartite" in err
+
     def test_usage_error_bad_n(self, capsys):
         code, _, err = run_cli(capsys, "value", "--family", "werner", "--n", "1", "--d", "2")
         assert code == 2
@@ -269,6 +298,12 @@ class TestDualScan:
         assert code == 3
         assert "error" in err
 
+    def test_budget_below_one_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "dual-scan", "--n", "3", "--d", "2", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "budget must be at least 1, got -1" in err
+
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOGAMY_BUDGET", "16")
         code, _, _ = run_cli(capsys, "dual-scan", "--n", "3", "--d", "3")
@@ -311,6 +346,20 @@ class TestVerify:
         assert code == 0
         assert len([ln for ln in out.splitlines() if ln.startswith(("PASS ", "FAIL "))]) == 13
         assert err == ""
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run_cli(capsys, "verify", "--all", "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert f"budget must be at least 1, got {budget}" in err
+
+    def test_env_budget_below_one_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONOGAMY_BUDGET", "0")
+        code, out, err = run_cli(capsys, "verify", "--all")
+        assert code == 2
+        assert out == ""
+        assert "MONOGAMY_BUDGET must be at least 1" in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

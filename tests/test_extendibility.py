@@ -20,6 +20,7 @@ from monogamy.diagrams import (
 )
 from monogamy.extendibility import (
     AffineFn,
+    CLOSED_FORMS,
     ExtendibilityValue,
     asymptotic_limit,
     brauer_is_ppt,
@@ -228,6 +229,7 @@ class TestPrimalCertificates:
     def test_achieves_closed_form(self, n, d):
         state, achieved = werner_primal_certificate(n, d)
         assert achieved == p_w_complete(n, d)
+        assert type(achieved) is Fraction
         assert state.trace() == 1
 
     def test_all_edge_marginals_equal(self):
@@ -243,6 +245,11 @@ class TestPrimalCertificates:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             werner_primal_certificate(8, 2, budget=100)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+            werner_primal_certificate(3, 2, budget=budget)
 
 
 class TestMatchingStates:
@@ -382,8 +389,17 @@ class TestComputeValue:
         with pytest.raises(ValueError):
             compute_value("isotropic_bipartite", 2, 2)
         r = compute_value("isotropic_bipartite", 2, 2, m=3)
-        assert r.value == Fraction(2, 3)
+        assert (r.value, r.graph, r.m) == (Fraction(2, 3), "K_{2,3}", 3)
+
+    def test_m_only_for_bipartite(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            compute_value("werner", 3, 2, m=7)
+
+    @pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+    def test_closed_form_table(self, family):
+        r = compute_value(family, 5, 3)
+        assert (r.value, r.family, r.m) == (CLOSED_FORMS[family](5, 3), family, None)
 
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):
-            ExtendibilityValue(Fraction(3, 2), "werner", "K_2", 2, 2)
+            ExtendibilityValue(Fraction(3, 2), "werner", 2, 2)
