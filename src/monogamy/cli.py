@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import checks
 from . import extendibility as ext
-from .budget import BudgetExceededError, check_budget
+from .budget import BudgetExceededError, check_budget, current_budget
 from .diagrams import jm_sum_brauer, jm_sum_sym, projectors
 from .graphs import edge_average_hamiltonian, graph_from_json, make_family, perfect_matchings
 from .spectral import lambda_max, sym_eigen
@@ -220,6 +220,8 @@ def cmd_spectrum(args, out) -> int:
     graph_op = args.what in ("werner", "brauer")
     if args.graph and not graph_op:
         raise ValueError(f"spectrum --what {args.what} acts on K_n and takes --n, not --graph")
+    if args.graph and args.n is not None:
+        raise ValueError(f"spectrum --what {args.what} takes --n or --graph, not both")
     g = _load_graph(args.graph) if args.graph else None
     n = g.vertex_count if g is not None else args.n
     if n is None:
@@ -309,8 +311,9 @@ def cmd_dual_scan(args, out) -> int:
 
 
 def cmd_cycle(args, out) -> int:
+    cap = current_budget(args.budget)  # checked even when --max runs no cycle
     for n in range(4, args.max + 1, 2):
-        val = ext.cycle_werner_value(n, args.budget)
+        val = ext.cycle_werner_value(n, cap)
         out.write(f"C_{n}: {val:.10f}\n")
     out.write(f"ln(2) limit: {ext.LN2:.10f}\n")
     return EXIT_OK

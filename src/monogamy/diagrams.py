@@ -250,19 +250,31 @@ def compose(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     return BrauerDiagram(n, pairs), loops
 
 
-def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:
-    """The 0/1 matrix psi(diag): entry (xbar, x) is 1 iff connected endpoints carry equal values."""
-    n = diag.n
-    # digit k of a row of `digits` is the value carried by pair k; the pair
-    # adds that value at the place of each of its out (row) and in (column) sites
+def diagram_sum(terms, n: int, d: int) -> SiteOperator:
+    """Sum of coeff * psi(diag) over (coeff, diag) terms, added in place into one dict.
+
+    psi(diag) is the 0/1 matrix whose entry (xbar, x) is 1 iff connected
+    endpoints carry equal values, so integer coefficients give integer entries.
+    """
     digits, place = basis_digits(n, d)
-    pair_places = np.zeros((n, 2), dtype=np.int64)
-    for k, pair in enumerate(diag.pairs):
-        for e in pair:
-            side, site = divmod(e, n)
-            pair_places[k, side] += place[site]
-    rows, cols = (digits @ pair_places).T.tolist()
-    return SiteOperator(n, d, dict.fromkeys(zip(rows, cols), 1))
+    data: dict = {}
+    for coeff, diag in terms:
+        if diag.n != n:
+            raise ValueError(f"diagram on {diag.n} strands in a sum on n={n}")
+        # digit k of a row of `digits` is the value carried by pair k; the pair adds that
+        # value at the place of each of its out (e < n: row) and in (column) endpoints e
+        ends = np.array(diag.pairs, dtype=np.int64)
+        pair_places = np.zeros((n, 2), dtype=np.int64)
+        np.add.at(pair_places, (np.arange(n)[:, None], ends // n), place[ends % n])
+        rows, cols = (digits @ pair_places).T.tolist()
+        for key in zip(rows, cols):
+            data[key] = data.get(key, 0) + coeff
+    return SiteOperator(n, d, data)
+
+
+def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:
+    """The 0/1 matrix psi(diag) of one diagram."""
+    return diagram_sum([(1, diag)], diag.n, d)
 
 
 def pair_operators(d: int) -> tuple[SiteOperator, SiteOperator, SiteOperator]:
@@ -327,30 +339,19 @@ def jm_sum_brauer(n: int, d: int) -> SiteOperator:
     return embed_sum(f - w, itertools.combinations(range(n), 2), n)
 
 
-def young_symmetrizer(lam: Partition, n: int, d: int) -> SiteOperator:
-    """Central idempotent eps_lam = (d(lam)/n!) sum_pi chi_lam(pi) psi(pi).
-
-    Characters are constant on conjugacy classes and memoized, so the sum
-    effectively groups permutations by cycle type. The integer characters
-    are added into one dict keyed by (row, col), so memory follows the
-    entries the permutations touch, and the rational scale is applied once
-    to the entries that do not cancel.
-    """
+def character_sum(lam: Partition, n: int, d: int) -> SiteOperator:
+    """The integer sum of chi_lam(pi) psi(pi) over the pi in S_n with a nonzero character."""
     lam = check_partition(lam)
     if size(lam) != n:
         raise ValueError(f"partition {lam} is not a partition of n={n}")
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than d={d} rows")
-    digits, place = basis_digits(n, d)
-    cols = range(d ** n)
-    acc: dict = {}
-    for perm in itertools.permutations(range(n)):
-        chi = mn_character(lam, cycle_type(perm))
-        if chi == 0:
-            continue
-        # row index of column x under psi(perm): digit j of the row is x_{perm^-1(j)}
-        rows = (digits @ place[list(perm)]).tolist()
-        for key in zip(rows, cols):
-            acc[key] = acc.get(key, 0) + chi
-    scale = Fraction(sym_dim(lam), factorial(n))
-    return SiteOperator(n, d, {key: v * scale for key, v in acc.items() if v})
+    terms = ((chi, BrauerDiagram.from_permutation(perm))
+             for perm in itertools.permutations(range(n))
+             if (chi := mn_character(lam, cycle_type(perm))))
+    return diagram_sum(terms, n, d)
+
+
+def young_symmetrizer(lam: Partition, n: int, d: int) -> SiteOperator:
+    """Central idempotent eps_lam = (d(lam)/n!) sum_pi chi_lam(pi) psi(pi), scaled once."""
+    return character_sum(lam, n, d) * Fraction(sym_dim(lam), factorial(n))

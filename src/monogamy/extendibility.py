@@ -22,9 +22,10 @@ from .diagrams import (
     BrauerDiagram,
     SiteOperator,
     basis_digits,
+    character_sum,
+    diagram_sum,
     matrix_rep,
     pair_operators,
-    young_symmetrizer,
 )
 from .graphs import Graph, make_family, perfect_matchings
 from .partitions import (
@@ -361,12 +362,11 @@ def werner_primal_certificate(
     """
     _check_nd(n, d)
     check_budget(n, d, budget)
-    lam = optimal_rectangular_partition(n, d)
-    eps = young_symmetrizer(lam, n, d)
-    state = eps * Fraction(1, eps.trace())
-    _, ident, f = pair_operators(d)
-    # the weight on P_11 = (I - F)/2
-    return state, trace_product(ident - f, reduced_state(state, (0, 1), n, d)) / 2
+    a = character_sum(optimal_rectangular_partition(n, d), n, d)
+    t = a.trace()
+    # the state is A/T, and Tr[P_11 rho_01] = (1 - Tr[F_01 rho]) / 2 = (T - Tr[F_01 A]) / 2T
+    flips = trace_product(matrix_rep(BrauerDiagram.transposition(n, 0, 1), d), a)
+    return a * Fraction(1, t), Fraction(t - flips, 2 * t)
 
 
 def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> SiteOperator:
@@ -392,13 +392,9 @@ def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> Sit
             others = [u for u in range(n) if u != v]
             states += [([(others[a], others[b]) for a, b in m], [(v, n + v)])
                        for m in rest_matchings]
-    weight = Fraction(1, d ** ((n + 1) // 2) * len(states))
-    data: dict = {}
-    for pairs, strands in states:
-        bars = [bar for u, v in pairs for bar in ((u, v), (n + u, n + v))]
-        for key in matrix_rep(BrauerDiagram(n, bars + strands), d).data:
-            data[key] = data.get(key, 0) + weight
-    return SiteOperator(n, d, data)
+    terms = [(1, BrauerDiagram(n, [bar for u, v in pairs for bar in ((u, v), (n + u, n + v))]
+                               + strands)) for pairs, strands in states]
+    return diagram_sum(terms, n, d) * Fraction(1, d ** ((n + 1) // 2) * len(states))
 
 
 def isotropic_pair_state(p_prime: Fraction, d: int) -> SiteOperator:
@@ -537,7 +533,7 @@ def compute_value(family: str, n: int, d: int, m: int | None = None) -> Extendib
     if family == "isotropic_bipartite":
         if m is None:
             raise ValueError("bipartite value needs m")
-        return ExtendibilityValue(p_iso_bipartite(n, m, d), "isotropic", n, d, m)
+        return ExtendibilityValue(p_iso_bipartite(n, m, d), family, n, d, m)
     if family not in CLOSED_FORMS:
         raise ValueError(f"unknown family {family!r}")
     if m is not None:

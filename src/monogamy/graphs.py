@@ -20,6 +20,8 @@ class Graph:
     def __post_init__(self):
         if self.family_tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.family_tag!r}")
+        if self.vertex_count < 0:
+            raise ValueError(f"graph needs n >= 0 vertices, got n={self.vertex_count}")
         seen = set()
         for u, v in self.edges:
             if u == v:

@@ -65,7 +65,7 @@ class TestValue:
         assert code == 0
         obj = json.loads(out)
         assert obj == {
-            "family": "isotropic",
+            "family": "isotropic_bipartite",
             "n": 2,
             "m": 3,
             "d": 2,
@@ -78,7 +78,7 @@ class TestValue:
         code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["family", "n", "m", "d", "value", "decimal", "method"]
-        assert rows[1][:5] == ["isotropic", "2", "3", "2", "2/3"]
+        assert rows[1][:5] == ["isotropic_bipartite", "2", "3", "2", "2/3"]
 
     def test_m_with_complete_graph_family_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -184,6 +184,16 @@ class TestSpectrum:
         assert out == ""
         assert err.startswith("error:") and "--graph" in err
 
+    @pytest.mark.parametrize("what", ["werner", "brauer"])
+    def test_graph_with_n_is_usage_error(self, capsys, tmp_path, what):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+        code, out, err = run_cli(capsys, "spectrum", "--what", what, "--graph", str(path),
+                                 "--n", "5", "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--n or --graph, not both" in err
+
     @pytest.mark.parametrize("what,n", [("jm-sym", "-1"), ("jm-brauer", "-2")])
     def test_negative_n_is_usage_error(self, capsys, what, n):
         code, out, err = run_cli(capsys, "spectrum", "--what", what, "--n", n, "--d", "2")
@@ -219,6 +229,22 @@ class TestMatchings:
         lines = out.strip().splitlines()
         assert lines[-1] == "total 3"
         assert "(0,1) (2,3)" in lines
+
+    @pytest.mark.parametrize("n", [-2, -3])
+    def test_graph_negative_n_is_usage_error(self, capsys, tmp_path, n):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": %d, "edges": []}' % n)
+        code, out, err = run_cli(capsys, "matchings", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"n={n}" in err
+
+    def test_graph_without_vertices_has_one_empty_matching(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 0, "edges": []}')
+        code, out, _ = run_cli(capsys, "matchings", "--graph", str(path))
+        assert code == 0
+        assert out.splitlines()[-1] == "total 1"
 
     def test_graph_file(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -320,6 +346,13 @@ class TestCycle:
         lines = out.strip().splitlines()
         assert lines[0].startswith("C_4: 0.75")
         assert lines[-1].startswith("ln(2) limit: 0.6931")
+
+    def test_budget_below_one_is_usage_error_without_a_cycle(self, capsys):
+        # --max 3 runs no cycle; the cap is still checked
+        code, out, err = run_cli(capsys, "cycle", "--max", "3", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "budget must be at least 1, got -1" in err
 
 
 class TestVerify:

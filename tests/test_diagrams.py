@@ -12,7 +12,9 @@ from monogamy.diagrams import (
     SiteOperator,
     all_diagrams,
     basis_digits,
+    character_sum,
     compose,
+    diagram_sum,
     embed_sum,
     jm_sum_brauer,
     jm_sum_sym,
@@ -133,6 +135,19 @@ class TestMatrixRep:
 
     def test_identity_diagram(self):
         assert matrix_rep(BrauerDiagram.identity(3), 2) == SiteOperator.identity(3, 2)
+
+    def test_diagram_sum_is_linear(self):
+        diagrams = all_diagrams(3)
+        for a, b in itertools.product(diagrams, repeat=2):
+            got = diagram_sum([(2, a), (-3, b)], 3, 2)
+            assert got == matrix_rep(a, 2) * 2 - matrix_rep(b, 2) * 3, (a, b)
+
+    def test_diagram_sum_of_no_terms_is_zero(self):
+        assert diagram_sum([], 3, 2) == SiteOperator.zero(3, 2)
+
+    def test_diagram_sum_rejects_strand_mismatch(self):
+        with pytest.raises(ValueError, match="2 strands in a sum on n=3"):
+            diagram_sum([(1, BrauerDiagram.identity(2))], 3, 2)
 
 
 class TestBasisDigits:
@@ -268,6 +283,13 @@ class TestYoungSymmetrizers:
                 total = total + matrix_rep(BrauerDiagram.from_permutation(perm), d) * chi
             want = total * Fraction(sym_dim(lam), factorial(n))
             assert young_symmetrizer(lam, n, d) == want
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2)])
+    def test_character_sum_is_integer_and_scales_once(self, n, d):
+        for lam in enumerate_sym_irreps(n, d):
+            a = character_sum(lam, n, d)
+            assert a.data and all(type(v) is int for v in a.data.values())
+            assert a * Fraction(sym_dim(lam), factorial(n)) == young_symmetrizer(lam, n, d)
 
     def test_trace_example(self):
         assert young_symmetrizer((2, 1), 3, 2).trace() == 4

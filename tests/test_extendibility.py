@@ -17,6 +17,7 @@ from monogamy.diagrams import (
     jm_sum_sym,
     pair_operators,
     projectors,
+    young_symmetrizer,
 )
 from monogamy.extendibility import (
     AffineFn,
@@ -50,7 +51,7 @@ from monogamy.extendibility import (
     werner_primal_certificate,
 )
 from monogamy.graphs import make_family
-from monogamy.partitions import brauer_jm_eigenvalue, content
+from monogamy.partitions import brauer_jm_eigenvalue, content, optimal_rectangular_partition
 from monogamy.spectral import joint_spectrum
 
 
@@ -242,6 +243,15 @@ class TestPrimalCertificates:
         }
         assert weights == {p_w_complete(n, d)}
 
+    @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2)])
+    def test_state_and_flip_reading_match_symmetrizer_and_marginal(self, n, d):
+        # the certificate reads achieved off Tr[F_01 A]; the partial trace must agree
+        state, achieved = werner_primal_certificate(n, d)
+        eps = young_symmetrizer(optimal_rectangular_partition(n, d), n, d)
+        assert state == eps * Fraction(1, eps.trace())
+        _, p_11, _ = projectors(d)
+        assert achieved == trace_product(p_11, reduced_state(state, (0, 1), n, d))
+
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             werner_primal_certificate(8, 2, budget=100)
@@ -390,6 +400,12 @@ class TestComputeValue:
             compute_value("isotropic_bipartite", 2, 2)
         r = compute_value("isotropic_bipartite", 2, 2, m=3)
         assert (r.value, r.graph, r.m) == (Fraction(2, 3), "K_{2,3}", 3)
+
+    @pytest.mark.parametrize("family,m", [*((f, None) for f in sorted(CLOSED_FORMS)),
+                                          ("isotropic_bipartite", 3)])
+    def test_record_recomputes_from_its_fields(self, family, m):
+        r = compute_value(family, 4, 3, m)
+        assert compute_value(r.family, r.n, r.d, r.m) == r
 
     def test_m_only_for_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):

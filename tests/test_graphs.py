@@ -68,6 +68,14 @@ class TestFamilies:
         with pytest.raises(ValueError):
             Graph(2, ((0, 1), (0, 1)))
 
+    def test_negative_vertex_count_rejected(self):
+        for n in (-1, -2, -3):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                Graph(n, ())
+            with pytest.raises(ValueError, match=f"n={n}"):
+                graph_from_json('{"n": %d, "edges": []}' % n)
+        assert perfect_matchings(Graph(0, ())) == [()]
+
 
 class TestJson:
     def test_roundtrip(self):
