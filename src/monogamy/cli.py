@@ -3,7 +3,8 @@
 Subcommands: value, table, verify, spectrum, matchings, ppt-region,
 dual-scan, cycle. Rationals are printed as "num/den" (never floats) with
 a decimal column for humans. Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 dense-matrix budget exceeded.
+failure, 2 usage error, 3 dense-matrix budget exceeded, 4 numeric
+eigensolver did not converge.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import checks
 from . import extendibility as ext
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_NO_CONVERGENCE = 4
 
 CLI_FAMILIES = ("werner", "brauer", "isotropic", "isotropic-prime", "isotropic-bipartite")
 
@@ -338,6 +342,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ArpackNoConvergence as exc:
+        print(f"error: numeric eigensolver did not converge: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

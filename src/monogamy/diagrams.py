@@ -13,6 +13,7 @@ Floating point enters only in the spectral module.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -28,6 +29,9 @@ from .partitions import (
 )
 
 Scalar = int | Fraction
+
+# keys that diagram_sum gathers before each sort-and-reduce; bounds its int64 buffers
+_BATCH_KEYS = 1 << 20
 
 
 def basis_digits(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,6 +58,13 @@ class SiteOperator:
         self.n = n
         self.d = d
         self.data = {k: v for k, v in (data or {}).items() if v != 0}
+
+    @classmethod
+    def _of_nonzero(cls, n: int, d: int, data: dict) -> "SiteOperator":
+        """An operator on data that holds no zero entry, taken without a filtering copy."""
+        op = cls(n, d)
+        op.data = data
+        return op
 
     @property
     def dim(self) -> int:
@@ -89,7 +100,15 @@ class SiteOperator:
         return SiteOperator(self.n, self.d, {k: -v for k, v in self.data.items()})
 
     def __mul__(self, scalar: Scalar) -> "SiteOperator":
-        return SiteOperator(self.n, self.d, {k: v * scalar for k, v in self.data.items()})
+        # each distinct entry is multiplied once; keying on the type too keeps 1 and
+        # Fraction(1) apart, so every product has the type of v * scalar
+        values = self.data.values()
+        keys = list(zip(values, map(type, values)))
+        products = {key: key[0] * scalar for key in set(keys)}
+        data = dict(zip(self.data, map(products.__getitem__, keys)))
+        if all(products.values()):
+            return SiteOperator._of_nonzero(self.n, self.d, data)
+        return SiteOperator(self.n, self.d, data)
 
     __rmul__ = __mul__
 
@@ -250,26 +269,55 @@ def compose(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     return BrauerDiagram(n, pairs), loops
 
 
+def _reduce(keys: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, each with the sum of its entries of sums."""
+    order = np.argsort(keys, kind="stable")
+    keys, sums = keys[order], sums[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(sums, starts)
+
+
 def diagram_sum(terms, n: int, d: int) -> SiteOperator:
-    """Sum of coeff * psi(diag) over (coeff, diag) terms, added in place into one dict.
+    """Sum of coeff * psi(diag) over (coeff, diag) terms with integer coefficients.
 
     psi(diag) is the 0/1 matrix whose entry (xbar, x) is 1 iff connected
-    endpoints carry equal values, so integer coefficients give integer entries.
+    endpoints carry equal values, so the entries are integers. Entry (r, c)
+    is keyed as r * d^n + c in int64; about _BATCH_KEYS keys at a time are
+    sorted and reduced into the running sums, and the result is a dict of
+    Python ints. Raises ValueError on a non-integer coefficient, or when the
+    sum of |coeff| reaches 2^63, past which an int64 sum could wrap.
     """
     digits, place = basis_digits(n, d)
-    data: dict = {}
-    for coeff, diag in terms:
-        if diag.n != n:
-            raise ValueError(f"diagram on {diag.n} strands in a sum on n={n}")
-        # digit k of a row of `digits` is the value carried by pair k; the pair adds that
-        # value at the place of each of its out (e < n: row) and in (column) endpoints e
-        ends = np.array(diag.pairs, dtype=np.int64)
-        pair_places = np.zeros((n, 2), dtype=np.int64)
-        np.add.at(pair_places, (np.arange(n)[:, None], ends // n), place[ends % n])
-        rows, cols = (digits @ pair_places).T.tolist()
-        for key in zip(rows, cols):
-            data[key] = data.get(key, 0) + coeff
-    return SiteOperator(n, d, data)
+    dim = d ** n
+    terms = iter(terms)
+    keys = sums = np.zeros(0, dtype=np.int64)
+    weight = 0
+    while batch := list(itertools.islice(terms, max(1, _BATCH_KEYS // dim))):
+        coeffs, key_places = [], []
+        for coeff, diag in batch:
+            try:
+                coeffs.append(operator.index(coeff))
+            except TypeError:
+                raise ValueError(f"diagram_sum needs integer coefficients, got {coeff!r}") from None
+            weight += abs(coeffs[-1])
+            if weight >= 1 << 63:
+                raise ValueError("diagram_sum coefficients reach 2^63 in absolute sum")
+            if diag.n != n:
+                raise ValueError(f"diagram on {diag.n} strands in a sum on n={n}")
+            # digit k of a row of `digits` is the value carried by pair k; the pair adds that
+            # value at the place of each of its out (e < n: row) and in (column) endpoints e,
+            # so its weight in the key r * dim + c is (row place) * dim + (column place)
+            ends = np.array(diag.pairs, dtype=np.int64)
+            pair_places = np.zeros((n, 2), dtype=np.int64)
+            np.add.at(pair_places, (np.arange(n)[:, None], ends // n), place[ends % n])
+            key_places.append(pair_places @ np.array([dim, 1], dtype=np.int64))
+        batch_keys = (digits @ np.stack(key_places, axis=1)).T.ravel()
+        batch_sums = np.repeat(np.array(coeffs, dtype=np.int64), dim)
+        keys, sums = _reduce(np.concatenate([keys, batch_keys]), np.concatenate([sums, batch_sums]))
+    keep = sums != 0
+    rows, cols = np.divmod(keys[keep], dim)
+    data = dict(zip(zip(rows.tolist(), cols.tolist()), sums[keep].tolist()))
+    return SiteOperator._of_nonzero(n, d, data)
 
 
 def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -346,9 +347,10 @@ def reduced_state(rho: SiteOperator, edge: tuple[int, int], n: int, d: int) -> S
 
 
 def trace_product(a: SiteOperator, b: SiteOperator) -> Fraction:
-    """Tr[a b] for exact symmetric operators."""
+    """Tr[a b] = sum of a[r, c] b[c, r], summed in the entries' own type."""
     a._check_same_shape(b)
-    return sum((v * b.data.get((c, r), 0) for (r, c), v in a.data.items()), start=Fraction(0))
+    b_transposed = map(b.data.get, map(operator.itemgetter(1, 0), a.data), itertools.repeat(0))
+    return Fraction(sum(map(operator.mul, a.data.values(), b_transposed)))
 
 
 def werner_primal_certificate(

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+import scipy.sparse.linalg
 
 from monogamy import cli
 from monogamy.extendibility import p_w_complete
@@ -329,6 +330,17 @@ class TestDualScan:
         assert code == 2
         assert out == ""
         assert "budget must be at least 1, got -1" in err
+
+    def test_eigensolver_non_convergence_exit_code(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        code, out, err = run_cli(capsys, "dual-scan", "--n", "3", "--d", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: numeric eigensolver did not converge")
+        assert "Traceback" not in err
 
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOGAMY_BUDGET", "16")

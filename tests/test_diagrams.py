@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from monogamy import diagrams
 from monogamy.diagrams import (
     BrauerDiagram,
     SiteOperator,
@@ -53,6 +54,20 @@ class TestSiteOperator:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             SiteOperator.identity(2, 2) + SiteOperator.identity(3, 2)
+
+    @pytest.mark.parametrize("scalar", [3, Fraction(2, 3), -1])
+    def test_scaling_keeps_the_type_of_each_product(self, scalar):
+        # 1 and Fraction(1) are equal and hash alike, yet 1 * 3 is an int
+        data = {(0, 0): 1, (0, 1): Fraction(1), (1, 0): Fraction(1, 2), (1, 1): 1, (2, 2): 5}
+        got = SiteOperator(2, 2, data) * scalar
+        assert got.data == {k: v * scalar for k, v in data.items()}
+        assert {k: type(v) for k, v in got.data.items()} == {
+            k: type(v * scalar) for k, v in data.items()
+        }
+        assert (scalar * SiteOperator(2, 2, data)) == got
+
+    def test_scaling_by_zero_is_zero(self):
+        assert SiteOperator.identity(2, 3) * 0 == SiteOperator.zero(2, 3)
 
 
 class TestDiagrams:
@@ -148,6 +163,45 @@ class TestMatrixRep:
     def test_diagram_sum_rejects_strand_mismatch(self):
         with pytest.raises(ValueError, match="2 strands in a sum on n=3"):
             diagram_sum([(1, BrauerDiagram.identity(2))], 3, 2)
+
+
+def reference_diagram_sum(terms, n, d):
+    """coeff * psi(diag) summed entry by entry from the definition of psi, in a plain dict."""
+    data = {}
+    for coeff, diag in terms:
+        for xbar in itertools.product(range(d), repeat=n):
+            for x in itertools.product(range(d), repeat=n):
+                ends = xbar + x
+                if all(ends[a] == ends[b] for a, b in diag.pairs):
+                    key = (int("".join(map(str, xbar)), d), int("".join(map(str, x)), d))
+                    data[key] = data.get(key, 0) + coeff
+    return {k: v for k, v in data.items() if v}
+
+
+class TestDiagramSumKernel:
+    def test_entries_are_python_ints(self):
+        terms = [(c, diag) for c, diag in zip(itertools.cycle([3, -2, 1]), all_diagrams(3))]
+        for op in (diagram_sum(terms, 3, 2), character_sum((2, 1), 3, 2)):
+            assert op.data and all(type(k) is int for key in op.data for k in key)
+            assert all(type(v) is int for v in op.data.values())
+
+    def test_many_small_batches_match_a_plain_dict_sum(self, monkeypatch):
+        monkeypatch.setattr(diagrams, "_BATCH_KEYS", 64)
+        # coefficients that cancel on some entries, so zero sums must be dropped
+        terms = [(c, diag) for c, diag in zip(itertools.cycle([1, -1, 2, -3, 5]), all_diagrams(3))]
+        assert len(terms) == 15
+        got = diagram_sum(terms, 3, 3)
+        assert got.data == reference_diagram_sum(terms, 3, 3)
+
+    def test_rejects_fraction_coefficient(self):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            diagram_sum([(Fraction(1, 2), BrauerDiagram.identity(2))], 2, 2)
+
+    def test_rejects_coefficients_that_could_wrap_int64(self):
+        ident = BrauerDiagram.identity(2)
+        assert diagram_sum([(2 ** 62, ident)], 2, 2).trace() == 4 * 2 ** 62
+        with pytest.raises(ValueError, match="2\\^63"):
+            diagram_sum([(2 ** 62, ident), (2 ** 62, ident)], 2, 2)
 
 
 class TestBasisDigits:

@@ -243,6 +243,11 @@ class TestPrimalCertificates:
         }
         assert weights == {p_w_complete(n, d)}
 
+    def test_trace_product_of_int_operators_is_a_fraction(self):
+        w, _, f = pair_operators(3)
+        got = trace_product(f, w)  # F W = W, whose trace is d
+        assert type(got) is Fraction and got == 3
+
     @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2)])
     def test_state_and_flip_reading_match_symmetrizer_and_marginal(self, n, d):
         # the certificate reads achieved off Tr[F_01 A]; the partial trace must agree
