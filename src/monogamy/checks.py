@@ -189,7 +189,7 @@ def check_iso_dual_numeric(cap: int) -> tuple[str, bool, str]:
         got = ext.iso_dual_numeric(n, d, cap)
         if abs(got - float(ext.p_iso_prime(n, d))) > SPEC_TOL:
             bad.append((n, d, got))
-    summary = f"golden-section minimum at {len(points)} (n,d) points, tol {SPEC_TOL}"
+    summary = f"cutting-plane minimum at {len(points)} (n,d) points, tol {SPEC_TOL}"
     return verdict("isotropic-dual-numeric", bad, summary)
 
 

@@ -298,7 +298,9 @@ def cmd_ppt(args, out) -> int:
 def cmd_dual_scan(args, out) -> int:
     n, d = args.n, args.d
     check_budget(n, d, args.budget)
-    xs = [args.lo + i * (args.hi - args.lo) / (args.points - 1) for i in range(args.points)]
+    # a convex combination of the bounds stays finite where hi - lo would overflow
+    ts = [i / (args.points - 1) for i in range(args.points)]
+    xs = [args.lo * (1 - t) + args.hi * t for t in ts]
     rows = [(x, lambda_max(ext.iso_dual_hamiltonian(n, d, x))) for x in xs]
     if args.format == "json":
         json.dump([{"x": x, "lambda_max": v} for x, v in rows], out)

@@ -39,7 +39,7 @@ from .partitions import (
     odd_row_count,
     optimal_rectangular_partition,
 )
-from .spectral import edge_sum, float_pair_operators, lambda_max
+from .spectral import edge_sum, float_pair_operators, lambda_max, top_eigenpair
 
 LN2 = math.log(2.0)
 
@@ -283,44 +283,81 @@ def cycle_werner_value(n: int, budget: int | None = None) -> float:
     return p_avg_numeric(make_family("cycle", n), "werner", 2, budget)
 
 
+def _iso_dual_pencil(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float pair operators (pair0, pair1) of the isotropic dual on K_n.
+
+    pair0 + x pair1 = (c - x)(I - d F) + x (F - W) with c = 1/(|E|(1 - d)),
+    so H(x) = H0 + x H1 with H0, H1 the edge sums of pair0 and pair1.
+    """
+    _check_nd(n, d)
+    w, ident, f = float_pair_operators(d)
+    c = 1.0 / (n * (n - 1) // 2 * (1 - d))
+    return c * (ident - d * f), (f - w) - (ident - d * f)
+
+
 def iso_dual_hamiltonian(n: int, d: int, x: float):
     """H(x) = sum over edges of K_n of (c - x)(I - d F) + x (F - W), c = 1/(|E|(1-d))."""
-    _check_nd(n, d)
-    g = make_family("complete", n)
-    w, ident, f = float_pair_operators(d)
-    c = 1.0 / (g.edge_count * (1 - d))
-    pair = (c - x) * (ident - d * f) + x * (f - w)
+    pair0, pair1 = _iso_dual_pencil(n, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = pair0 + x * pair1
     if not np.isfinite(pair).all():
         raise ValueError(f"dual Hamiltonian pair operator at x={x} is not finite")
-    return edge_sum(n, d, g.edges, pair)
+    return edge_sum(n, d, make_family("complete", n).edges, pair)
+
+
+def _minimize_convex(f) -> float:
+    """Minimum on [-1, 1] of a convex function, by bracketed cutting planes.
+
+    f maps x to (f(x), a slope of f at x). The tangent lines at the two
+    bracket ends lie below f, so where they meet they bound the minimum
+    from below; each step evaluates f there and moves the end whose slope
+    has the same sign. It stops when the smallest value seen is within
+    1e-12 of that bound, or at a bracket width of 1e-10. A point outside
+    the open bracket, or a bracket that has not halved in two steps, is
+    replaced by the midpoint, so the width falls at least geometrically.
+    """
+    lo, hi = -1.0, 1.0
+    f_lo, s_lo = f(lo)
+    if s_lo >= 0:
+        return f_lo
+    f_hi, s_hi = f(hi)
+    if s_hi <= 0:
+        return f_hi
+    best = min(f_lo, f_hi)
+    widths = [hi - lo]
+    while hi - lo > 1e-10:
+        x = (f_hi - f_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
+        if best - (f_lo + s_lo * (x - lo)) <= 1e-12:
+            break
+        if not lo < x < hi or (len(widths) > 2 and widths[-1] > widths[-3] / 2):
+            x = (lo + hi) / 2
+        f_x, s_x = f(x)
+        best = min(best, f_x)
+        if s_x < 0:
+            lo, f_lo, s_lo = x, f_x, s_x
+        else:
+            hi, f_hi, s_hi = x, f_x, s_x
+        widths.append(hi - lo)
+    return best
 
 
 def iso_dual_numeric(n: int, d: int, budget: int | None = None) -> float:
-    """Golden-section minimization of lambda_max(H(x)) for the isotropic dual.
+    """Minimum over x in [-1, 1] of lambda_max(H(x)) for the isotropic dual.
 
-    H(x) is iso_dual_hamiltonian; the bracket [-1, 1] is refined to width 1e-10.
+    H(x) = H0 + x H1 is iso_dual_hamiltonian. If v is the unit top
+    eigenvector of H(x) with eigenvalue r, the line r + (v^T H1 v)(y - x)
+    equals v^T H(y) v, so it lies below the convex lambda_max(H(y)) at
+    every y; _minimize_convex cuts with these lines, one eigensolve each.
     """
     _check_nd(n, d)
     check_budget(n, d, budget)
+    slope_op = edge_sum(n, d, make_family("complete", n).edges, _iso_dual_pencil(n, d)[1])
 
-    def f(x: float) -> float:
-        return lambda_max(iso_dual_hamiltonian(n, d, x))
+    def value_and_slope(x: float) -> tuple[float, float]:
+        value, vec = top_eigenpair(iso_dual_hamiltonian(n, d, x))
+        return value, float(vec @ (slope_op @ vec))
 
-    lo, hi = -1.0, 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-10:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return f((lo + hi) / 2.0)
+    return _minimize_convex(value_and_slope)
 
 
 # ---------------------------------------------------------------------------

@@ -312,13 +312,14 @@ class TestDualScan:
         assert flag in err and "finite" in err
 
     def test_overflowing_range_is_usage_error(self, capsys):
-        # hi - lo overflows to inf, so the scan points are not finite
+        # the scan points are finite, but the pair operator at x = -1e308 overflows
         code, out, err = run_cli(capsys, "dual-scan", "--n", "3", "--d", "2",
                                  "--lo=-1e308", "--hi=1e308")
         assert code == 2
         assert out == ""
         assert "not finite" in err and "x=" in err
         assert "symmetric" not in err
+        assert "x=nan" not in err and "x=-1e+308" in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "dual-scan", "--n", "7", "--d", "4")

@@ -5,8 +5,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monogamy.budget import BudgetExceededError
 from monogamy.checks import SPEC_TOL
@@ -19,8 +20,10 @@ from monogamy.diagrams import (
     projectors,
     young_symmetrizer,
 )
+from monogamy import extendibility
 from monogamy.extendibility import (
     AffineFn,
+    _minimize_convex,
     CLOSED_FORMS,
     ExtendibilityValue,
     asymptotic_limit,
@@ -31,6 +34,7 @@ from monogamy.extendibility import (
     compute_value,
     conjecture_probe,
     is_positive_brauer_prime,
+    iso_dual_hamiltonian,
     iso_dual_numeric,
     isotropic_dual_argmin,
     isotropic_dual_minimax,
@@ -52,7 +56,7 @@ from monogamy.extendibility import (
 )
 from monogamy.graphs import make_family
 from monogamy.partitions import brauer_jm_eigenvalue, content, optimal_rectangular_partition
-from monogamy.spectral import joint_spectrum
+from monogamy.spectral import edge_sum, float_pair_operators, joint_spectrum, top_eigenpair
 
 
 class TestClosedFormsAgainstGoldenTables:
@@ -203,6 +207,95 @@ class TestDualSolvers:
     def test_numeric_dual(self):
         assert iso_dual_numeric(4, 2) == pytest.approx(float(p_iso_prime(4, 2)), abs=1e-8)
         assert iso_dual_numeric(5, 3) == pytest.approx(float(Fraction(7, 31)), abs=1e-8)
+
+    @pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 0.25, 1.0])
+    def test_dual_hamiltonian_pencil_matches_definition(self, x):
+        # H(x) = H0 + x H1 is the edge sum of (c - x)(I - d F) + x (F - W)
+        n, d = 3, 3
+        g = make_family("complete", n)
+        w, ident, f = float_pair_operators(d)
+        c = 1.0 / (g.edge_count * (1 - d))
+        want = edge_sum(n, d, g.edges, (c - x) * (ident - d * f) + x * (f - w)) @ np.eye(d ** n)
+        got = iso_dual_hamiltonian(n, d, x) @ np.eye(d ** n)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 3), (7, 3), (5, 5)])
+    def test_numeric_dual_few_solves(self, monkeypatch, n, d):
+        # the five verify points plus the two perfbench oracle_scale points
+        solves = []
+
+        def counted(op):
+            solves.append(op)
+            return top_eigenpair(op)
+
+        monkeypatch.setattr(extendibility, "top_eigenpair", counted)
+        assert abs(iso_dual_numeric(n, d) - float(p_iso_prime(n, d))) <= 1e-11
+        assert len(solves) <= 8
+
+
+def _counted(f):
+    """f and the list of points it has been evaluated at."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+def _max_of_lines(lines):
+    """x -> (max of the lines, slope of one line attaining it)."""
+    def f(x):
+        return max((a * x + b, a) for a, b in lines)
+    return f
+
+
+class TestMinimizeConvex:
+    @given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=64),
+                              st.fractions(-1, 1, max_denominator=64)),
+                    min_size=3, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_piecewise_linear_interior_minimum_is_exact(self, exact_lines):
+        lines = [(float(a), float(b)) for a, b in exact_lines]
+        value = _max_of_lines(lines)
+        assume(value(-1.0)[1] < 0 < value(1.0)[1])
+        # the minimum of a max of lines sits at -1, 1 or a crossing of two lines
+        crossings = [Fraction(b2 - b1, a1 - a2)
+                     for (a1, b1), (a2, b2) in itertools.combinations(exact_lines, 2) if a1 != a2]
+        want = min(max(a * x + b for a, b in exact_lines)
+                   for x in [Fraction(-1), Fraction(1)] + crossings if -1 <= x <= 1)
+        f, xs = _counted(value)
+        assert abs(_minimize_convex(f) - float(want)) <= 1e-12
+        assert len(xs) <= 8
+
+    def test_minimum_at_left_end(self):
+        f, xs = _counted(_max_of_lines([(0.5, 0.25), (2.0, 1.0)]))
+        assert _minimize_convex(f) == -0.25
+        assert xs == [-1.0]
+
+    def test_flat_at_left_end_stops_there(self):
+        f, xs = _counted(_max_of_lines([(0.0, 0.25), (-1.0, -1.0)]))
+        assert _minimize_convex(f) == 0.25
+        assert xs == [-1.0]
+
+    def test_minimum_at_right_end(self):
+        f, xs = _counted(_max_of_lines([(-0.5, 0.25), (-2.0, 1.0)]))
+        assert _minimize_convex(f) == -0.25
+        assert xs == [-1.0, 1.0]
+
+    def test_smooth_quadratic(self):
+        f, xs = _counted(lambda x: ((x - 0.3) ** 2, 2 * (x - 0.3)))
+        assert _minimize_convex(f) <= 1e-9
+        assert len(xs) <= 30
+
+    def test_midpoint_safeguard_bounds_steep_side(self):
+        # the tangent at the steep right end keeps the cut next to it; without the
+        # halving safeguard this takes about 40 evaluations
+        f, xs = _counted(lambda x: (math.exp(20 * x) - x, 20 * math.exp(20 * x) - 1))
+        assert _minimize_convex(f) == pytest.approx((1 + math.log(20)) / 20, abs=1e-9)
+        assert all(-1 <= x <= 1 for x in xs)
+        assert len(xs) <= 30
 
 
 class TestNumericOracle:

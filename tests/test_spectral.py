@@ -19,6 +19,7 @@ from monogamy.spectral import (
     joint_spectrum,
     lambda_max,
     sym_eigen,
+    top_eigenpair,
 )
 
 
@@ -140,3 +141,17 @@ class TestJointSpectrum:
         b = SiteOperator.identity(3, 2)
         with pytest.raises(ValueError):
             joint_spectrum(a, b)
+
+
+class TestTopEigenpair:
+    # the operators of the TestLambdaMax cases
+    @pytest.mark.parametrize("op", [
+        edge_sum(3, 2, make_family("complete", 3).edges, projectors(2)[1].to_dense()),
+        edge_sum(2, 2, [(0, 1)], projectors(2)[1].to_dense()),
+        edge_sum(12, 2, make_family("complete", 12).edges, float_pair_operators(2)[2]),
+    ], ids=["complete-werner", "projector", "sparse-4096"])
+    def test_unit_ritz_vector(self, op):
+        value, vec = top_eigenpair(op)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12)
+        assert lambda_max(op) == value
