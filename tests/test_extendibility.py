@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from monogamy import extendibility
 from monogamy.budget import BudgetExceededError
 from monogamy.checks import SPEC_TOL
 from monogamy.diagrams import (
@@ -20,12 +21,11 @@ from monogamy.diagrams import (
     projectors,
     young_symmetrizer,
 )
-from monogamy import extendibility
 from monogamy.extendibility import (
     AffineFn,
-    _minimize_convex,
     CLOSED_FORMS,
     ExtendibilityValue,
+    _minimize_convex,
     asymptotic_limit,
     brauer_is_ppt,
     brauer_is_separable,
