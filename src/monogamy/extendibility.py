@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +35,10 @@ from .partitions import (
     brauer_jm_eigenvalue,
     check_partition,
     content,
-    enumerate_brauer_irreps,
     enumerate_sym_irreps,
     odd_row_count,
     optimal_rectangular_partition,
+    twice_brauer_jm_eigenvalue,
 )
 from .spectral import edge_sum, float_pair_operators, lambda_max, top_eigenpair
 
@@ -136,39 +137,53 @@ class AffineFn:
 def minimize_max_affine(fns: list[AffineFn]) -> tuple[Fraction, Fraction, tuple[AffineFn, ...]]:
     """Exact minimum over x of max_i fns_i(x).
 
-    Returns (argmin, value, active functions). The upper envelope of the
-    lines is built by slope-sorted pairwise intersections; the minimum of
-    the resulting convex piecewise-linear function sits where the envelope
-    slope changes sign. Raises ValueError when unbounded below.
+    Returns (argmin, value, active functions); the minimum of the convex
+    piecewise-linear max sits where the slope of its upper envelope changes
+    sign. The envelope is built on integers: slopes are scaled by the lcm
+    of their denominators and offsets by the lcm of theirs, which keeps
+    every comparison. Of the lines with one slope the first with the
+    largest offset is kept. On the slope-sorted lines a hull top
+    (s1, o1), (s2, o2) is popped for the next line (s, o) when its two
+    intersections are out of order, (o2 - o1)(s2 - s) >= (o - o2)(s1 - s2).
+    Only the returned x, value and functions are read from the original
+    Fractions. Raises ValueError when empty or unbounded below.
     """
     if not fns:
         raise ValueError("empty affine family")
-    best: dict[Fraction, AffineFn] = {}
+    slope_scale = math.lcm(*{f.slope.denominator for f in fns})
+    offset_scale = math.lcm(*{f.offset.denominator for f in fns})
+    best: dict[int, tuple[int, AffineFn]] = {}
     for f in fns:
-        cur = best.get(f.slope)
-        if cur is None or f.offset > cur.offset:
-            best[f.slope] = f
-    lines = sorted(best.values(), key=lambda f: f.slope)
+        s = f.slope.numerator * (slope_scale // f.slope.denominator)
+        o = f.offset.numerator * (offset_scale // f.offset.denominator)
+        if s not in best or o > best[s][0]:
+            best[s] = (o, f)
+    # the slopes are distinct, so sorting never compares two AffineFn
+    lines = sorted((s, o, f) for s, (o, f) in best.items())
 
-    if lines[0].slope > 0 or lines[-1].slope < 0:
+    if lines[0][0] > 0 or lines[-1][0] < 0:
         raise ValueError("max of affine family is unbounded below")
+
+    hull: list[tuple[int, int, AffineFn]] = []
+    for line in lines:
+        s, o, _ = line
+        while len(hull) >= 2:
+            (s1, o1, _), (s2, o2, _) = hull[-2:]
+            if (o2 - o1) * (s2 - s) < (o - o2) * (s1 - s2):
+                break
+            hull.pop()
+        hull.append(line)
+    i = next(idx for idx, (s, _, _) in enumerate(hull) if s >= 0)
+    hull = [f for _, _, f in hull]
 
     def isect(f: AffineFn, g: AffineFn) -> Fraction:
         return Fraction(g.offset - f.offset, f.slope - g.slope)
-
-    hull: list[AffineFn] = []
-    for line in lines:
-        while len(hull) >= 2 and isect(hull[-2], hull[-1]) >= isect(hull[-1], line):
-            hull.pop()
-        hull.append(line)
 
     if len(hull) == 1:
         f = hull[0]
         if f.slope != 0:
             raise ValueError("max of affine family is unbounded below")
         return Fraction(0), f.offset, (f,)
-
-    i = next(idx for idx, f in enumerate(hull) if f.slope >= 0)
     if i == 0:
         # flat leftmost piece: minimum value attained on it
         x = isect(hull[0], hull[1])
@@ -180,17 +195,20 @@ def minimize_max_affine(fns: list[AffineFn]) -> tuple[Fraction, Fraction, tuple[
 def okada_easy_pairs(n: int, d: int) -> list[tuple[Partition, Partition]]:
     """(lambda, mu) label pairs produced by the three easy branching rules.
 
-    1. lambda a single column (1^m): mu ranges over labels with exactly m odd rows.
-    2. lambda of full size n: mu = lambda.
-    3. mu the single row (n): lambda a single row (n - 2r).
+    Each partition mu of n with at most d rows gives the pairs of rules 1
+    and 2; rule 3 adds the single-row pairs.
+    1. lambda the single column (1^m), m the number of odd rows of mu; m is
+       at most len(mu) <= d, so (1^m) is always a Brauer label.
+    2. lambda = mu, when mu is a Brauer label: len(mu) + #{parts >= 2} <= d.
+    3. mu the single row (n): lambda the single row (n - 2r), or () at 2r = n.
     """
     _check_nd(n, d)
-    sym = set(enumerate_sym_irreps(n, d))
-    brauer = set(enumerate_brauer_irreps(n, d))
-    column = {(col, mu) for mu in sym if (col := (1,) * odd_row_count(mu)) in brauer}
-    full = {(lam, lam) for lam in sym & brauer}
-    row = {(lam, (n,)) for lam in brauer if len(lam) <= 1}
-    return sorted(column | full | row)
+    pairs = {((n - 2 * r,) if 2 * r < n else (), (n,)) for r in range(n // 2 + 1)}
+    for mu in enumerate_sym_irreps(n, d):
+        pairs.add(((1,) * odd_row_count(mu), mu))
+        if len(mu) + sum(1 for p in mu if p >= 2) <= d:
+            pairs.add((mu, mu))
+    return sorted(pairs)
 
 
 def special_partitions(n: int, d: int) -> dict[str, Partition]:
@@ -210,14 +228,35 @@ def special_partitions(n: int, d: int) -> dict[str, Partition]:
 
 
 def iso_affine_family(n: int, d: int) -> list[AffineFn]:
-    """Eigenvalue branches f_{mu,lambda}(x) of the isotropic dual, one per easy-rule pair."""
-    edges = Fraction(n * (n - 1), 2)
-    out = []
+    """Eigenvalue branches f_{mu,lambda}(x) of the isotropic dual that can reach its envelope.
+
+    The easy-rule pair (lambda, mu) gives the branch with slope
+    jm(lambda) + d c(mu) - |E| and offset (d c(mu) - |E|) / (|E| (d - 1)),
+    jm being brauer_jm_eigenvalue. Both are kept as the integers
+    2 jm(lambda) + 2 d c(mu) - 2|E| and d c(mu) - |E| over the shared
+    denominators 2 and |E| (d - 1), with 2 jm and d c cached per label. A
+    branch below another of the same slope never reaches the envelope, so
+    only the first branch with the largest offset at each slope is
+    returned, as an AffineFn.
+    """
+    _check_nd(n, d)
+    edges = n * (n - 1) // 2
+    twice_jm: dict[Partition, int] = {}
+    d_content: dict[Partition, int] = {}
+    # 2 * slope -> (offset numerator, lam, mu)
+    best: dict[int, tuple[int, Partition, Partition]] = {}
     for lam, mu in okada_easy_pairs(n, d):
-        c = content(mu)
-        slope = brauer_jm_eigenvalue(lam, n, d) + d * c - edges
-        out.append(AffineFn(slope, (d * c / edges - 1) / (d - 1), lam, mu))
-    return out
+        if lam not in twice_jm:
+            twice_jm[lam] = twice_brauer_jm_eigenvalue(lam, n, d)
+        if mu not in d_content:
+            d_content[mu] = d * content(mu)
+        offset = d_content[mu] - edges
+        slope2 = twice_jm[lam] + 2 * offset
+        if slope2 not in best or offset > best[slope2][0]:
+            best[slope2] = (offset, lam, mu)
+    den = edges * (d - 1)
+    return [AffineFn(Fraction(slope2, 2), Fraction(offset, den), lam, mu)
+            for slope2, (offset, lam, mu) in best.items()]
 
 
 def isotropic_dual_minimax(n: int, d: int) -> Fraction:
@@ -462,14 +501,24 @@ def brauer_wfi_to_proj(pp, qq, d: int) -> tuple[Fraction, Fraction]:
     return p, q
 
 
+def _positivity_forms(d: int) -> tuple[tuple[int, int, int], ...]:
+    """Integer (a, b, c): p' W/d + q' F/d + (1 - p' - q') I/d^2 >= 0 iff all a p' + b q' + c >= 0.
+
+    The forms are d^2 times the state's eigenvalues on the maximally
+    entangled vector and on the antisymmetric subspace, and (d - 1)(d + 2)
+    d^2 times its eigenvalue on the rest of the symmetric subspace.
+    """
+    return (
+        (d * d - 1, d - 1, 1),
+        (-1, -(d + 1), 1),
+        (-(d * d + d - 2), d ** 3 - 3 * d + 2, d * d + d - 2),
+    )
+
+
 def is_positive_brauer_prime(pp, qq, d: int) -> bool:
     """Positive semidefiniteness of p' W/d + q' F/d + (1 - p' - q') I/d^2."""
     pp, qq = Fraction(pp), Fraction(qq)
-    return (
-        pp * (d * d - 1) + qq * (d - 1) + 1 >= 0
-        and -pp - qq * (d + 1) + 1 >= 0
-        and 2 - d + d * d + pp * (d * d + d - 2) - qq * (d ** 3 - 3 * d + 2) <= 2 * d * d
-    )
+    return all(a * pp + b * qq + c >= 0 for a, b, c in _positivity_forms(d))
 
 
 def brauer_is_separable(p, q, d: int) -> bool:
@@ -480,10 +529,36 @@ def brauer_is_separable(p, q, d: int) -> bool:
     return q <= Fraction(1, 2) and p <= Fraction(1, d)
 
 
+@lru_cache(maxsize=None)
+def _ppt_forms(d: int) -> tuple[tuple[int, int, int], ...]:
+    """Integer (alpha, beta, gamma): (p, q) is PPT iff every alpha p + beta q + gamma >= 0.
+
+    The partial transpose swaps the weights (p', q') = brauer_proj_to_wfi(p, q, d),
+    which are affine in (p, q), so each positivity form of (q', p') is an
+    affine form in (p, q). It is read off at (0, 0), (1, 0) and (0, 1) and
+    scaled by the lcm of its denominators.
+    """
+    origin, unit_p, unit_q = (brauer_proj_to_wfi(p, q, d) for p, q in ((0, 0), (1, 0), (0, 1)))
+    forms = []
+    for a, b, c in _positivity_forms(d):
+        gamma = a * origin[1] + b * origin[0] + c
+        alpha = a * unit_p[1] + b * unit_p[0] + c - gamma
+        beta = a * unit_q[1] + b * unit_q[0] + c - gamma
+        scale = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+        forms.append(tuple(int(v * scale) for v in (alpha, beta, gamma)))
+    return tuple(forms)
+
+
 def brauer_is_ppt(p, q, d: int) -> bool:
-    """PPT of the projector-weight Brauer state: swap (p', q') and test positivity."""
-    pp, qq = brauer_proj_to_wfi(p, q, d)
-    return is_positive_brauer_prime(qq, pp, d)
+    """PPT of the projector-weight Brauer state: swap (p', q') and test positivity.
+
+    Tested in integers: with p = a/D1 and q = b/D2 in lowest terms, every
+    form of _ppt_forms(d) must give alpha a D2 + beta b D1 + gamma D1 D2 >= 0.
+    """
+    p, q = Fraction(p), Fraction(q)
+    a, d1, b, d2 = p.numerator, p.denominator, q.numerator, q.denominator
+    return all(alpha * a * d2 + beta * b * d1 + gamma * d1 * d2 >= 0
+               for alpha, beta, gamma in _ppt_forms(d))
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,19 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def content(lam: Partition) -> int:
-    """Sum of (column - row) over all boxes, 0-indexed."""
+    """Sum of (column - row) over all boxes, 0-indexed: row i adds p(p - 1)/2 - i p."""
     lam = check_partition(lam)
-    return sum(j - i for i, p in enumerate(lam) for j in range(p))
+    return sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam))
 
 
 def brauer_jm_eigenvalue(lam: Partition, n: int, d: int) -> Fraction:
     """Eigenvalue c(lam) - (n - |lam|)(d - 1)/2 of the Brauer sum of (F - W) on label lam."""
-    return content(lam) - Fraction((n - size(lam)) * (d - 1), 2)
+    return Fraction(twice_brauer_jm_eigenvalue(lam, n, d), 2)
+
+
+def twice_brauer_jm_eigenvalue(lam: Partition, n: int, d: int) -> int:
+    """2 * brauer_jm_eigenvalue(lam, n, d) as an int: 2 c(lam) - (n - |lam|)(d - 1)."""
+    return 2 * content(lam) - (n - size(lam)) * (d - 1)
 
 
 def odd_row_count(mu: Partition) -> int:

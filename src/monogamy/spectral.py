@@ -113,23 +113,31 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     )
 
 
-def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a symmetric operator and a unit eigenvector, by Lanczos.
+def _eigsh_top(op: scipy.sparse.linalg.LinearOperator, vectors: bool):
+    """eigsh for the largest eigenvalue, with or without its Ritz vector.
 
     Lanczos starts from a fixed random vector, not all-ones: the all-ones
     vector lies in the symmetric sector, which an antisymmetric Hamiltonian
-    sends to zero. The value is the Ritz value, so it is the Rayleigh
-    quotient of the returned vector.
+    sends to zero.
     """
     v0 = np.random.default_rng(0).standard_normal(op.shape[0])
-    w, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0)
+    return scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=vectors)
+
+
+def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of a symmetric operator and a unit eigenvector, by Lanczos.
+
+    The value is the Ritz value, so it is the Rayleigh quotient of the
+    returned vector.
+    """
+    w, vecs = _eigsh_top(op, vectors=True)
     vec = vecs[:, 0]
     return float(w[0]), vec / np.linalg.norm(vec)
 
 
 def lambda_max(op: scipy.sparse.linalg.LinearOperator) -> float:
-    """Largest eigenvalue of a symmetric operator: the value of top_eigenpair."""
-    return top_eigenpair(op)[0]
+    """Largest eigenvalue of a symmetric operator: top_eigenpair's value, without the vector."""
+    return float(_eigsh_top(op, vectors=False)[0])
 
 
 def joint_spectrum(a: SiteOperator, b: SiteOperator) -> JointSpectrum:

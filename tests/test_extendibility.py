@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monogamy import extendibility
 from monogamy.budget import BudgetExceededError
@@ -55,7 +55,14 @@ from monogamy.extendibility import (
     werner_primal_certificate,
 )
 from monogamy.graphs import make_family
-from monogamy.partitions import brauer_jm_eigenvalue, content, optimal_rectangular_partition
+from monogamy.partitions import (
+    brauer_jm_eigenvalue,
+    content,
+    enumerate_brauer_irreps,
+    enumerate_sym_irreps,
+    odd_row_count,
+    optimal_rectangular_partition,
+)
 from monogamy.spectral import edge_sum, float_pair_operators, joint_spectrum, top_eigenpair
 
 
@@ -107,6 +114,10 @@ class TestMonotonicityAndBounds:
             assert p_w_complete(n, d) >= Fraction(d - 1, 2 * d)
 
 
+# few distinct values, so that equal slopes and equal offsets are common
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
 class TestMinimaxMachinery:
     def test_two_lines(self):
         fns = [AffineFn(Fraction(-1), Fraction(0)), AffineFn(Fraction(1), Fraction(-1))]
@@ -131,17 +142,71 @@ class TestMinimaxMachinery:
         with pytest.raises(ValueError):
             minimize_max_affine([])
 
+    @given(st.lists(st.tuples(SMALL_FRACTIONS, SMALL_FRACTIONS), max_size=8))
+    @example([])  # empty
+    @example([(Fraction(1), Fraction(0)), (Fraction(2), Fraction(-1))])  # unbounded
+    @example([(Fraction(0), Fraction(0)), (Fraction(-1), Fraction(-1)),
+              (Fraction(1), Fraction(-1))])  # flat minimum on [-1, 1]
+    @example([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)),
+              (Fraction(-1), Fraction(0)), (Fraction(-1), Fraction(0))])  # repeated lines
+    @example([(Fraction(-1), Fraction(0)), (Fraction(0), Fraction(0)),
+              (Fraction(1), Fraction(0))])  # three lines through the minimum
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, lines):
+        fns = [AffineFn(s, o, (i + 1,)) for i, (s, o) in enumerate(lines)]
+        want = _min_of_max_by_intersections(lines)
+        if want is None:
+            with pytest.raises(ValueError):
+                minimize_max_affine(fns)
+            return
+        x, value, active = minimize_max_affine(fns)
+        assert value == want
+        assert max(f(x) for f in fns) == value
+        # the envelope pieces meeting at x: the least and the greatest slope
+        # through (x, value), each the first such line in the input
+        through = [f for f in fns if f(x) == value]
+        ends = (min(through, key=lambda f: f.slope), max(through, key=lambda f: f.slope))
+        assert active == (ends[:1] if ends[0] is ends[1] else ends)
+
+
+def _min_of_max_by_intersections(lines):
+    """min over x of the max of the (slope, offset) lines, or None when there is none.
+
+    A bounded max of lines with two or more slopes has its minimum at a
+    breakpoint, which is an intersection of two lines; with one slope,
+    which must then be 0, it is constant.
+    """
+    if not lines or min(s for s, _ in lines) > 0 or max(s for s, _ in lines) < 0:
+        return None
+    xs = [Fraction(o2 - o1, s1 - s2)
+          for (s1, o1), (s2, o2) in itertools.combinations(lines, 2) if s1 != s2]
+    return min(max(s * x + o for s, o in lines) for x in xs or [Fraction(0)])
+
 
 class TestDualSolvers:
-    @pytest.mark.parametrize("d", range(2, 10))
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_isotropic_minimax_matches_closed_form(self, n, d):
         assert isotropic_dual_minimax(n, d) == p_iso_prime(n, d)
 
-    @pytest.mark.parametrize("d", range(2, 10))
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_q0_matches_closed_form(self, n, d):
         assert q0_dual_value(n, d) == p_b_complete(n, d)
+
+    @pytest.mark.parametrize("n,d,labels", [
+        (6, 4, [((), (2, 2, 2)), ((), (6,))]),
+        (9, 6, [((1,), (2, 2, 2, 2, 1)), ((1,), (9,))]),
+    ])
+    def test_active_labels_at_ties(self, n, d, labels):
+        # other easy pairs give the same active lines; the first in easy-pair order is reported
+        _, _, active = isotropic_dual_argmin(n, d)
+        assert [(f.lam, f.mu) for f in active] == labels
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_easy_pairs_match_set_definition(self, n):
+        for d in range(2, 10):
+            assert okada_easy_pairs(n, d) == _easy_pairs_by_definition(n, d), d
 
     def test_odd_odd_breakpoint(self):
         x, v, _ = isotropic_dual_argmin(5, 3)
@@ -231,6 +296,16 @@ class TestDualSolvers:
         monkeypatch.setattr(extendibility, "top_eigenpair", counted)
         assert abs(iso_dual_numeric(n, d) - float(p_iso_prime(n, d))) <= 1e-11
         assert len(solves) <= 8
+
+
+def _easy_pairs_by_definition(n, d):
+    """The easy-rule pairs as sets of symmetric-group and Brauer labels."""
+    sym = set(enumerate_sym_irreps(n, d))
+    brauer = set(enumerate_brauer_irreps(n, d))
+    column = {(col, mu) for mu in sym if (col := (1,) * odd_row_count(mu)) in brauer}
+    full = {(lam, lam) for lam in sym & brauer}
+    row = {(lam, (n,)) for lam in brauer if len(lam) <= 1}
+    return sorted(column | full | row)
 
 
 def _counted(f):
@@ -432,6 +507,24 @@ class TestBrauerRegion:
             assert is_positive_brauer_prime(pp, qq, 2)
         assert not is_positive_brauer_prime(Fraction(101, 100), 0, 2)
         assert not is_positive_brauer_prime(0, Fraction(-101, 100), 2)
+
+    @given(st.fractions(-3, 3, max_denominator=50), st.fractions(-3, 3, max_denominator=50),
+           st.integers(2, 6))
+    @settings(max_examples=150)
+    def test_positivity_matches_eigenvalue_inequalities(self, pp, qq, d):
+        assert is_positive_brauer_prime(pp, qq, d) == (
+            pp * (d * d - 1) + qq * (d - 1) + 1 >= 0
+            and -pp - qq * (d + 1) + 1 >= 0
+            and 2 - d + d * d + pp * (d * d + d - 2) - qq * (d ** 3 - 3 * d + 2) <= 2 * d * d
+        )
+
+    @given(st.fractions(-2, 2, max_denominator=120), st.fractions(-2, 2, max_denominator=120),
+           st.integers(2, 16))
+    @settings(max_examples=300)
+    def test_ppt_matches_swapped_positivity(self, p, q, d):
+        # p, q range past the valid states 0 <= p, q and p + q <= 1
+        assert brauer_is_ppt(p, q, d) == is_positive_brauer_prime(
+            *reversed(brauer_proj_to_wfi(p, q, d)), d)
 
     def test_separability_examples(self):
         assert brauer_is_separable(Fraction(1, 2), Fraction(1, 2), 2)
