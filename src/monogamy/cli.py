@@ -3,14 +3,15 @@
 Subcommands: value, table, verify, spectrum, matchings, ppt-region,
 dual-scan, cycle. Rationals are printed as "num/den" (never floats) with
 a decimal column for humans. Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 dense-matrix budget exceeded, 4 numeric
-eigensolver did not converge.
+failure, 2 usage error, 3 budget exceeded (d^n, or the number of
+matchings), 4 numeric eigensolver did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -20,9 +21,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import checks
 from . import extendibility as ext
-from .budget import BudgetExceededError, check_budget, current_budget
+from .budget import ENV_VAR, BudgetExceededError, check_budget, current_budget
 from .diagrams import jm_sum_brauer, jm_sum_sym, projectors
-from .graphs import edge_average_hamiltonian, graph_from_json, make_family, perfect_matchings
+from .graphs import edge_average_hamiltonian, graph_from_json, iter_perfect_matchings, make_family
 from .spectral import lambda_max, sym_eigen
 
 EXIT_OK = 0
@@ -115,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_source.add_argument("--complete", type=int, help="use the complete graph K_n")
     p_source.add_argument("--graph", help="graph JSON file")
     p_match.add_argument("--count", action="store_true", help="print only the count")
+    p_match.add_argument("--budget", type=int, default=None, help="cap on the number of matchings")
 
     p_ppt = sub.add_parser("ppt-region", help="classify a Brauer state (p, q, d)")
     p_ppt.add_argument("--p", type=_parse_rational, required=True)
@@ -259,11 +261,18 @@ def cmd_spectrum(args, out) -> int:
 
 
 def cmd_matchings(args, out) -> int:
+    cap = current_budget(args.budget)
     if args.complete is not None:
         g = make_family("complete", args.complete)
     else:
         g = _load_graph(args.graph)
-    matchings = perfect_matchings(g)
+    # one past the cap is enough to refuse; K_40 alone has 39!! matchings
+    matchings = list(itertools.islice(iter_perfect_matchings(g), cap + 1))
+    if len(matchings) > cap:
+        raise BudgetExceededError(
+            f"the graph has more than {cap} perfect matchings, the budget; "
+            f"pass --budget or set {ENV_VAR} to raise the cap"
+        )
     if args.count:
         out.write(f"{len(matchings)}\n")
     else:

@@ -180,10 +180,8 @@ def minimize_max_affine(fns: list[AffineFn]) -> tuple[Fraction, Fraction, tuple[
         return Fraction(g.offset - f.offset, f.slope - g.slope)
 
     if len(hull) == 1:
-        f = hull[0]
-        if f.slope != 0:
-            raise ValueError("max of affine family is unbounded below")
-        return Fraction(0), f.offset, (f,)
+        # one slope, which the bound check above forces to be 0
+        return Fraction(0), hull[0].offset, (hull[0],)
     if i == 0:
         # flat leftmost piece: minimum value attained on it
         x = isect(hull[0], hull[1])

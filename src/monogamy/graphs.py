@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,32 +109,35 @@ def edge_average_hamiltonian(g: Graph, op: SiteOperator) -> SiteOperator:
 Matching = tuple[tuple[int, int], ...]
 
 
-def perfect_matchings(g: Graph) -> list[Matching]:
-    """All perfect matchings, by eliminating the lowest uncovered vertex.
+def iter_perfect_matchings(g: Graph) -> Iterator[Matching]:
+    """Perfect matchings one at a time, by eliminating the lowest uncovered vertex.
 
-    Odd-vertex graphs have none and yield the empty list.
+    Odd-vertex graphs have none and yield nothing.
     """
     n = g.vertex_count
     if n % 2 == 1:
-        return []
+        return
     adj = {v: set() for v in range(n)}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    out: list[Matching] = []
 
-    def recurse(covered: set, acc: list):
+    def recurse(covered: set, acc: list) -> Iterator[Matching]:
         if len(covered) == n:
-            out.append(tuple(acc))
+            yield tuple(acc)
             return
         u = min(v for v in range(n) if v not in covered)
         for v in sorted(adj[u]):
             if v not in covered:
                 covered.update((u, v))
                 acc.append((u, v))
-                recurse(covered, acc)
+                yield from recurse(covered, acc)
                 acc.pop()
                 covered.difference_update((u, v))
 
-    recurse(set(), [])
-    return out
+    yield from recurse(set(), [])
+
+
+def perfect_matchings(g: Graph) -> list[Matching]:
+    """All perfect matchings, in the order of `iter_perfect_matchings`."""
+    return list(iter_perfect_matchings(g))

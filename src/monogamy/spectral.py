@@ -78,10 +78,14 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     """Matrix-free sum over edges (u, v) of the float d^2 x d^2 `pair` on sites u, v.
 
     Site 0 is the most significant digit of a basis index, as in the exact
-    operators. Each product reshapes psi to (d,)*n and contracts `pair`
-    with axes (u, v); nothing of size d^n x d^n is ever built. The pair must
-    be exactly symmetric and flip-invariant, so the sum is symmetric and
-    does not depend on edge orientation.
+    operators. Each edge gets one plan when the operator is built: the sizes
+    (d^lo, d^(hi-lo-1), d^(n-1-hi)) of the digits before, between and after
+    its sites lo < hi. A product views psi as (before, d, between, d,
+    after * columns), copies the two edge axes to the front as a (d^2, -1)
+    block, multiplies it once by `pair` and adds the result back through the
+    inverse transpose of the same view of the output. Each product holds
+    O(d^n) floats; nothing of size d^n x d^n is ever built. The pair must be exactly symmetric and flip-invariant, so
+    the sum is symmetric and does not depend on edge orientation.
     """
     pair = np.asarray(pair, dtype=np.float64)
     if pair.shape != (d * d, d * d):
@@ -99,15 +103,25 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"invalid edge {(u, v)} for n={n}")
 
+    # flip invariance makes (u, v) and (v, u) the same term, so a plan needs only
+    # the sizes around the lower and the higher site
+    plans = [
+        (d ** min(u, v), d ** (abs(v - u) - 1), d ** (n - 1 - max(u, v))) for u, v in edges
+    ]
+    dim = d ** n
+    edge_axes_first = (1, 3, 0, 2, 4)
+
     def apply(x: np.ndarray) -> np.ndarray:
-        # a trailing axis carries the columns of a block, or length 1 for a vector
-        psi = x.reshape((d,) * n + (-1,))
-        out = np.zeros_like(psi, dtype=np.float64)
-        for u, v in edges:
-            out += np.moveaxis(np.tensordot(p4, psi, axes=([2, 3], [u, v])), (0, 1), (u, v))
+        # the columns of a block (1 for a vector) ride along with the after digits
+        psi = x.reshape(dim, -1)
+        out = np.zeros(psi.shape)
+        for before, between, after in plans:
+            shape = (before, d, between, d, after * psi.shape[1])
+            block = psi.reshape(shape).transpose(edge_axes_first).reshape(d * d, -1)  # one copy
+            view = out.reshape(shape).transpose(edge_axes_first)
+            view += (pair @ block).reshape(view.shape)
         return out.reshape(x.shape)
 
-    dim = d ** n
     return scipy.sparse.linalg.LinearOperator(
         (dim, dim), matvec=apply, matmat=apply, dtype=np.float64
     )

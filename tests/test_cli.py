@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,26 @@ class TestMatchings:
         code, out, _ = run_cli(capsys, "matchings", "--complete", "6", "--count")
         assert code == 0
         assert out.strip() == "15"
+
+    def test_huge_count_stops_at_the_budget(self, capsys):
+        # K_40 has 39!! matchings; enumeration stops one past the default cap
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "matchings", "--complete", "40", "--count")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "4096" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("count_only", [True, False])
+    def test_budget_is_a_cap_on_the_count(self, capsys, count_only):
+        # K_8 has 7!! = 105 matchings
+        flag = ["--count"] if count_only else []
+        code, out, _ = run_cli(capsys, "matchings", "--complete", "8", "--budget", "105", *flag)
+        assert code == 0
+        assert out.splitlines()[-1] == ("105" if count_only else "total 105")
+        code, out, err = run_cli(capsys, "matchings", "--complete", "8", "--budget", "104", *flag)
+        assert (code, out) == (3, "")
+        assert "104" in err
 
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "matchings", "--complete", "4")

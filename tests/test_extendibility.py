@@ -137,6 +137,18 @@ class TestMinimaxMachinery:
     def test_unbounded_raises(self):
         with pytest.raises(ValueError):
             minimize_max_affine([AffineFn(Fraction(1), Fraction(0))])
+        with pytest.raises(ValueError):
+            minimize_max_affine([AffineFn(Fraction(1), Fraction(0)),
+                                 AffineFn(Fraction(1, 3), Fraction(2)),
+                                 AffineFn(Fraction(5), Fraction(-7))])
+
+    def test_all_flat_lines(self):
+        # one slope, 0: the first line with the largest offset is the minimum everywhere
+        fns = [AffineFn(Fraction(0), Fraction(1, 3), (1,)),
+               AffineFn(Fraction(0), Fraction(5, 2), (2,)),
+               AffineFn(Fraction(0), Fraction(5, 2), (3,)),
+               AffineFn(Fraction(0), Fraction(-4), (4,))]
+        assert minimize_max_affine(fns) == (Fraction(0), Fraction(5, 2), (fns[1],))
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

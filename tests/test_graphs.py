@@ -18,6 +18,7 @@ from monogamy.graphs import (
     edge_average_hamiltonian,
     graph_from_json,
     graph_to_json,
+    iter_perfect_matchings,
     make_family,
     perfect_matchings,
 )
@@ -205,3 +206,11 @@ class TestMatchings:
 
     def test_cycle_matchings(self):
         assert len(perfect_matchings(make_family("cycle", 6))) == 2
+
+    def test_iterator_is_lazy_and_in_list_order(self):
+        # K_40 has 39!! matchings; the first three come without the rest
+        first = list(itertools.islice(iter_perfect_matchings(make_family("complete", 40)), 3))
+        assert first[0] == tuple((2 * i, 2 * i + 1) for i in range(20))
+        assert len(set(first)) == 3
+        g = make_family("complete", 6)
+        assert list(iter_perfect_matchings(g)) == perfect_matchings(g)

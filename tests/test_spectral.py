@@ -77,6 +77,35 @@ class TestEdgeSum:
         want = edge_average_hamiltonian(g, op).to_dense() * g.edge_count
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n,d,edges",
+        [
+            (2, 2, [(1, 0)]),
+            (3, 3, [(0, 2), (2, 1)]),
+            (4, 2, [(0, 1), (2, 1), (2, 3), (3, 0)]),
+            (4, 4, [(3, 0), (1, 2), (0, 1)]),
+            (5, 2, [(0, 4), (4, 3), (1, 3), (2, 0)]),
+            (5, 3, [(4, 0), (2, 3), (1, 4)]),
+        ],
+    )
+    def test_random_pair_matches_index_loops(self, n, d, edges):
+        # edges in both orientations, adjacent and not, touching sites 0 and n - 1
+        rng = np.random.default_rng(100 * n + d)
+        a = rng.standard_normal((d * d, d * d))
+        sym = a + a.T
+        flip = float_pair_operators(d)[2]
+        pair = sym + flip @ sym @ flip  # exactly symmetric and flip-invariant
+        dim = d ** n
+        want = _edge_sum_by_index_loops(n, d, edges, pair)
+        op = edge_sum(n, d, edges, pair)
+        block = rng.standard_normal((dim, 3))
+        by_column = np.column_stack([
+            op.matvec(block[:, 0]), op.matvec(block[:, 1:2])[:, 0], op.matmat(block)[:, 2],
+        ])
+        assert op.matvec(block[:, 1:2]).shape == (dim, 1)
+        assert np.max(np.abs(by_column - want @ block)) < 1e-12
+        assert np.max(np.abs(op.matmat(block) - want @ block)) < 1e-12
+
     def test_float_pair_operators_match_exact(self):
         for got, want in zip(float_pair_operators(3), pair_operators(3)):
             assert np.array_equal(got, want.to_dense())
@@ -99,6 +128,26 @@ class TestEdgeSum:
             edge_sum(3, 2, [], ident)
         with pytest.raises(ValueError):
             edge_sum(3, 2, [(0, 3)], ident)
+
+
+def _edge_sum_by_index_loops(n, d, edges, pair):
+    """Dense sum over edges (u, v) of `pair` on sites u, v, one matrix entry at a time.
+
+    Row r couples to every column that agrees with r off sites u and v;
+    site 0 is the most significant digit.
+    """
+    dim = d ** n
+    out = np.zeros((dim, dim))
+    for u, v in edges:
+        for r in range(dim):
+            digits = [(r // d ** (n - 1 - s)) % d for s in range(n)]
+            for k in range(d):
+                for l in range(d):
+                    col = list(digits)
+                    col[u], col[v] = k, l
+                    c = sum(x * d ** (n - 1 - s) for s, x in enumerate(col))
+                    out[r, c] += pair[digits[u] * d + digits[v], k * d + l]
+    return out
 
 
 class TestLambdaMax:
