@@ -82,8 +82,8 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     (d^lo, d^(hi-lo-1), d^(n-1-hi)) of the digits before, between and after
     its sites lo < hi. A product views psi as (before, d, between, d,
     after * columns), copies the two edge axes to the front as a (d^2, -1)
-    block, multiplies it once by `pair` and adds the result back through the
-    inverse transpose of the same view of the output. Each product holds
+    block, multiplies it once by `pair` and adds the inverse transpose of the
+    result into the same view of the output. Each product holds
     O(d^n) floats; nothing of size d^n x d^n is ever built. The pair must be exactly symmetric and flip-invariant, so
     the sum is symmetric and does not depend on edge orientation.
     """
@@ -109,7 +109,6 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
         (d ** min(u, v), d ** (abs(v - u) - 1), d ** (n - 1 - max(u, v))) for u, v in edges
     ]
     dim = d ** n
-    edge_axes_first = (1, 3, 0, 2, 4)
 
     def apply(x: np.ndarray) -> np.ndarray:
         # the columns of a block (1 for a vector) ride along with the after digits
@@ -117,9 +116,12 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
         out = np.zeros(psi.shape)
         for before, between, after in plans:
             shape = (before, d, between, d, after * psi.shape[1])
-            block = psi.reshape(shape).transpose(edge_axes_first).reshape(d * d, -1)  # one copy
-            view = out.reshape(shape).transpose(edge_axes_first)
-            view += (pair @ block).reshape(view.shape)
+            block = psi.reshape(shape).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)  # one copy
+            prod = (pair @ block).reshape(d, d, before, between, shape[4])
+            # out is contiguous, so this reshape is a view; adding into it is
+            # faster than adding prod into a transposed view of out
+            view = out.reshape(shape)
+            view += prod.transpose(2, 0, 3, 1, 4)
         return out.reshape(x.shape)
 
     return scipy.sparse.linalg.LinearOperator(
