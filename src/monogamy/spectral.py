@@ -83,9 +83,10 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     its sites lo < hi. A product views psi as (before, d, between, d,
     after * columns), copies the two edge axes to the front as a (d^2, -1)
     block, multiplies it once by `pair` and adds the inverse transpose of the
-    result into the same view of the output. Each product holds
-    O(d^n) floats; nothing of size d^n x d^n is ever built. The pair must be exactly symmetric and flip-invariant, so
-    the sum is symmetric and does not depend on edge orientation.
+    result into the same view of the output. Each product holds O(d^n)
+    floats; nothing of size d^n x d^n is ever built. The pair must be
+    exactly symmetric and flip-invariant, so the sum is symmetric and does
+    not depend on edge orientation.
     """
     pair = np.asarray(pair, dtype=np.float64)
     if pair.shape != (d * d, d * d):
