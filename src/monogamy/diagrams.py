@@ -30,7 +30,8 @@ from .partitions import (
 
 Scalar = int | Fraction
 
-# keys that diagram_sum gathers before each sort-and-reduce; bounds its int64 buffers
+# canonical keys that diagram_sum gathers before each sort-and-reduce; with the output's
+# nonzeros, this bounds its int64 buffers
 _BATCH_KEYS = 1 << 20
 
 
@@ -100,11 +101,17 @@ class SiteOperator:
         return SiteOperator(self.n, self.d, {k: -v for k, v in self.data.items()})
 
     def __mul__(self, scalar: Scalar) -> "SiteOperator":
-        # each distinct entry is multiplied once; keying on the type too keeps 1 and
-        # Fraction(1) apart, so every product has the type of v * scalar
+        # each distinct entry is multiplied once
         values = self.data.values()
-        keys = list(zip(values, map(type, values)))
-        products = {key: key[0] * scalar for key in set(keys)}
+        if isinstance(scalar, Fraction):
+            # every product is a Fraction, so the value alone keys its product
+            keys = values
+            products = {v: v * scalar for v in set(values)}
+        else:
+            # keying on the type too keeps 1 and Fraction(1) apart, so every product has
+            # the type of v * scalar
+            keys = list(zip(values, map(type, values)))
+            products = {key: key[0] * scalar for key in set(keys)}
         data = dict(zip(self.data, map(products.__getitem__, keys)))
         if all(products.values()):
             return SiteOperator._of_nonzero(self.n, self.d, data)
@@ -134,6 +141,10 @@ class SiteOperator:
         )
 
     def trace(self) -> Scalar:
+        if len(self.data) > self.dim:
+            # fewer diagonal keys than entries: look each one up
+            diagonal = zip(range(self.dim), range(self.dim))
+            return sum(map(self.data.get, diagonal, itertools.repeat(0)), start=0)
         return sum((v for (r, c), v in self.data.items() if r == c), start=0)
 
     def transpose(self) -> "SiteOperator":
@@ -277,23 +288,49 @@ def _reduce(keys: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return keys[starts], np.add.reduceat(sums, starts)
 
 
+def _value_patterns(n: int, d: int) -> np.ndarray:
+    """The restricted-growth strings of length n with at most d values, one per row.
+
+    Each value is at most 1 + the largest value before it. A row is one way
+    to split n items into at most d blocks, its values numbering the blocks
+    in order of first appearance, so there are sum over k <= d of S(n, k)
+    rows. They come in lexicographic order.
+    """
+    patterns = [()]
+    for _ in range(n):
+        patterns = [p + (v,) for p in patterns for v in range(min(d, max(p, default=-1) + 2))]
+    return np.array(patterns, dtype=np.int64).reshape(len(patterns), n)
+
+
 def diagram_sum(terms, n: int, d: int) -> SiteOperator:
     """Sum of coeff * psi(diag) over (coeff, diag) terms with integer coefficients.
 
     psi(diag) is the 0/1 matrix whose entry (xbar, x) is 1 iff connected
-    endpoints carry equal values, so the entries are integers. Entry (r, c)
-    is keyed as r * d^n + c in int64; about _BATCH_KEYS keys at a time are
-    sorted and reduced into the running sums, and the result is a dict of
-    Python ints. Raises ValueError on a non-integer coefficient, or when the
-    sum of |coeff| reaches 2^63, past which an int64 sum could wrap.
+    endpoints carry equal values. So an entry depends only on which of the 2n
+    endpoints carry equal values, and a permutation of [d] that relabels every
+    endpoint leaves the sum unchanged. Entry (r, c) is keyed as the int64
+    r * d^n + c, whose 2n base-d digits are the values at out_0..out_{n-1}
+    and then in_0..in_{n-1}. Only the canonical keys are summed, those whose
+    digits first take the value k after they have taken 0..k-1. A term
+    reaches each of its canonical keys once, by giving its pairs, in the
+    order of their first endpoints, the values of one row of
+    _value_patterns(n, d). About _BATCH_KEYS of these keys are sorted and
+    reduced at a time. Then each nonzero canonical entry with k values is
+    copied to its d!/(d-k)! relabellings, which are all distinct. The result
+    is a dict of Python ints. Raises ValueError on a non-integer
+    coefficient, or when the sum of |coeff| reaches 2^63, past which an
+    int64 sum could wrap.
     """
-    digits, place = basis_digits(n, d)
+    op = SiteOperator(n, d)
     dim = d ** n
+    # the key place of each endpoint: out_e is row digit e and in_e column digit e
+    place = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+    patterns = _value_patterns(n, d)
     terms = iter(terms)
     keys = sums = np.zeros(0, dtype=np.int64)
     weight = 0
-    while batch := list(itertools.islice(terms, max(1, _BATCH_KEYS // dim))):
-        coeffs, key_places = [], []
+    while batch := list(itertools.islice(terms, max(1, _BATCH_KEYS // len(patterns)))):
+        coeffs = []
         for coeff, diag in batch:
             try:
                 coeffs.append(operator.index(coeff))
@@ -304,20 +341,25 @@ def diagram_sum(terms, n: int, d: int) -> SiteOperator:
                 raise ValueError("diagram_sum coefficients reach 2^63 in absolute sum")
             if diag.n != n:
                 raise ValueError(f"diagram on {diag.n} strands in a sum on n={n}")
-            # digit k of a row of `digits` is the value carried by pair k; the pair adds that
-            # value at the place of each of its out (e < n: row) and in (column) endpoints e,
-            # so its weight in the key r * dim + c is (row place) * dim + (column place)
-            ends = np.array(diag.pairs, dtype=np.int64)
-            pair_places = np.zeros((n, 2), dtype=np.int64)
-            np.add.at(pair_places, (np.arange(n)[:, None], ends // n), place[ends % n])
-            key_places.append(pair_places @ np.array([dim, 1], dtype=np.int64))
-        batch_keys = (digits @ np.stack(key_places, axis=1)).T.ravel()
-        batch_sums = np.repeat(np.array(coeffs, dtype=np.int64), dim)
+        # diag.pairs is sorted by first endpoint; a pair adds its value at both its places
+        ends = np.array([diag.pairs for _, diag in batch], dtype=np.int64).reshape(-1, n, 2)
+        pair_places = place[ends].sum(axis=2)
+        batch_keys = (pair_places @ patterns.T).ravel()
+        batch_sums = np.repeat(np.array(coeffs, dtype=np.int64), len(patterns))
         keys, sums = _reduce(np.concatenate([keys, batch_keys]), np.concatenate([sums, batch_sums]))
     keep = sums != 0
-    rows, cols = np.divmod(keys[keep], dim)
-    data = dict(zip(zip(rows.tolist(), cols.tolist()), sums[keep].tolist()))
-    return SiteOperator._of_nonzero(n, d, data)
+    keys, sums = keys[keep], sums[keep]
+    values = keys[:, None] // place % d
+    used = values.max(axis=1, initial=0) + 1
+    for k in np.unique(used).tolist():
+        # the key of a relabelling sigma is the sum over v of sigma(v) * value_places[:, v]
+        of_k = used == k
+        value_places = np.stack([(values[of_k] == v) @ place for v in range(k)], axis=1)
+        labels = np.array(list(itertools.permutations(range(d), k)), dtype=np.int64)
+        rows, cols = np.divmod((value_places @ labels.T).ravel(), dim)
+        entries = np.repeat(sums[of_k], len(labels))
+        op.data.update(zip(zip(rows.tolist(), cols.tolist()), entries.tolist()))
+    return op
 
 
 def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:

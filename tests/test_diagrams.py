@@ -1,5 +1,6 @@
 """Brauer diagrams, composition, matrix realization, projectors, JM sums."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -65,6 +66,25 @@ class TestSiteOperator:
             k: type(v * scalar) for k, v in data.items()
         }
         assert (scalar * SiteOperator(2, 2, data)) == got
+
+    def test_scaling_mixed_entries_by_a_fraction(self):
+        data = {(0, 0): 1, (0, 1): Fraction(1), (1, 0): Fraction(1, 2), (1, 1): 2, (2, 2): Fraction(2)}
+        scalar = Fraction(3, 4)
+        got = SiteOperator(2, 2, data) * scalar
+        assert got.data == {k: v * scalar for k, v in data.items()}
+        assert all(type(v) is Fraction for v in got.data.values())
+
+    @pytest.mark.parametrize("scalar", [1, Fraction(1, 3)])
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_trace_equals_the_entry_scan(self, sparse, scalar):
+        # W at d = 64 has as many entries as its dimension, the (6,4) character sum more
+        op = pair_operators(64)[0] if sparse else character_sum((2, 2, 1, 1), 6, 4)
+        op = op * scalar
+        assert (len(op.data) > op.dim) != sparse
+        scan = sum((v for (r, c), v in op.data.items() if r == c), start=0)
+        got = op.trace()
+        assert got == scan != 0
+        assert type(got) is type(scan) is type(scalar)
 
     def test_scaling_by_zero_is_zero(self):
         assert SiteOperator.identity(2, 3) * 0 == SiteOperator.zero(2, 3)
@@ -166,16 +186,29 @@ class TestMatrixRep:
 
 
 def reference_diagram_sum(terms, n, d):
-    """coeff * psi(diag) summed entry by entry from the definition of psi, in a plain dict."""
+    """coeff * psi(diag) summed entry by entry from the definition of psi, in a plain dict.
+
+    Giving every pair of diag one value in [d] sets one entry of psi(diag) to 1.
+    """
     data = {}
     for coeff, diag in terms:
-        for xbar in itertools.product(range(d), repeat=n):
-            for x in itertools.product(range(d), repeat=n):
-                ends = xbar + x
-                if all(ends[a] == ends[b] for a, b in diag.pairs):
-                    key = (int("".join(map(str, xbar)), d), int("".join(map(str, x)), d))
-                    data[key] = data.get(key, 0) + coeff
+        for pair_values in itertools.product(range(d), repeat=n):
+            ends = [0] * (2 * n)
+            for (a, b), v in zip(diag.pairs, pair_values):
+                ends[a] = ends[b] = v
+            key = tuple(functools.reduce(lambda acc, v: acc * d + v, half, 0)
+                        for half in (ends[:n], ends[n:]))
+            data[key] = data.get(key, 0) + coeff
     return {k: v for k, v in data.items() if v}
+
+
+def stirling2(n, k):
+    """The number of ways to split n items into k nonempty blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 class TestDiagramSumKernel:
@@ -193,6 +226,55 @@ class TestDiagramSumKernel:
         got = diagram_sum(terms, 3, 3)
         assert got.data == reference_diagram_sum(terms, 3, 3)
         assert got.data and (0, 0) not in got.data
+
+    @pytest.mark.parametrize("batch_keys", [1, 64])
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 5) for d in range(2, 6)])
+    def test_random_terms_match_the_definition(self, monkeypatch, n, d, batch_keys):
+        monkeypatch.setattr(diagrams, "_BATCH_KEYS", batch_keys)
+        rng = random.Random(100 * n + d)
+        pool = all_diagrams(n)
+        terms = [(rng.randint(-3, 3), rng.choice(pool)) for _ in range(10)]
+        if n >= 2:
+            terms.append((2, BrauerDiagram.bar(n, 0, n - 1)))
+        # a term and its negation, so that some entries cancel
+        terms += [(-c, diag) for c, diag in terms[:2]]
+        got = diagram_sum(terms, n, d)
+        assert got.data == reference_diagram_sum(terms, n, d)
+        assert all(type(v) is int for v in got.data.values())
+
+    def test_only_canonical_keys_are_sorted(self, monkeypatch):
+        # each term reaches each of its canonical keys once: 14 = S(4,1) + S(4,2) + S(4,3)
+        sorted_keys = []
+
+        def recording_reduce(keys, sums):
+            sorted_keys.append(keys)
+            return reduce(keys, sums)
+
+        reduce = diagrams._reduce
+        monkeypatch.setattr(diagrams, "_reduce", recording_reduce)
+        n, d = 4, 3
+        terms = [(c, diag) for c, diag in zip(itertools.cycle([2, -1, 3]), all_diagrams(n))]
+        assert diagram_sum(terms, n, d).data == reference_diagram_sum(terms, n, d)
+        [keys] = sorted_keys
+        assert len(keys) == 14 * len(terms)
+        for key in keys.tolist():
+            digits = [key // d ** (2 * n - 1 - i) % d for i in range(2 * n)]
+            assert all(v <= max(digits[:i], default=-1) + 1 for i, v in enumerate(digits)), digits
+
+    @pytest.mark.parametrize("n,d,rows", [(6, 4, 187), (5, 5, 52), (2, 64, 2), (4, 2, 8), (1, 3, 1)])
+    def test_value_patterns_count(self, n, d, rows):
+        patterns = diagrams._value_patterns(n, d)
+        assert patterns.shape == (rows, n)
+        assert rows == sum(stirling2(n, k) for k in range(1, d + 1))
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (3, 4), (4, 3)])
+    def test_value_patterns_are_the_first_appearance_relabellings(self, n, d):
+        def relabel(values):
+            first = {}
+            return tuple(first.setdefault(v, len(first)) for v in values)
+
+        canonical = {relabel(values) for values in itertools.product(range(d), repeat=n)}
+        assert diagrams._value_patterns(n, d).tolist() == sorted(map(list, canonical))
 
     def test_rejects_fraction_coefficient(self):
         with pytest.raises(ValueError, match="integer coefficients"):
