@@ -112,15 +112,26 @@ Matching = tuple[tuple[int, int], ...]
 def iter_perfect_matchings(g: Graph) -> Iterator[Matching]:
     """Perfect matchings one at a time, by eliminating the lowest uncovered vertex.
 
-    Odd-vertex graphs have none and yield nothing.
+    A graph with a connected component of odd size has none and yields
+    nothing, found before any search.
     """
     n = g.vertex_count
-    if n % 2 == 1:
-        return
     adj = {v: set() for v in range(n)}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
+    # the search alone would meet an odd component once per partial matching before it
+    unseen = set(range(n))
+    while unseen:
+        stack = [unseen.pop()]
+        size = 1
+        while stack:
+            for w in adj[stack.pop()] & unseen:
+                unseen.remove(w)
+                stack.append(w)
+                size += 1
+        if size % 2:
+            return
 
     def recurse(covered: set, acc: list) -> Iterator[Matching]:
         if len(covered) == n:

@@ -245,6 +245,18 @@ class TestMatchings:
         assert (code, out) == (3, "")
         assert "104" in err
 
+    @pytest.mark.parametrize("k", [15, 21])
+    def test_odd_component_counts_zero_at_once(self, capsys, tmp_path, k):
+        # K_k plus an isolated vertex has no perfect matching; the search used to
+        # meet that dead end once per partial matching of K_k
+        path = tmp_path / "g.json"
+        edges = [[u, v] for u in range(k) for v in range(u + 1, k)]
+        path.write_text(json.dumps({"n": k + 1, "edges": edges}))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "matchings", "--graph", str(path), "--count")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "0\n")
+
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "matchings", "--complete", "4")
         assert code == 0

@@ -1,6 +1,7 @@
 """Graph families, embeddings, edge-averaged Hamiltonians, matchings."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,30 @@ class TestMatchings:
 
     def test_cycle_matchings(self):
         assert len(perfect_matchings(make_family("cycle", 6))) == 2
+
+    def test_complete_graph_order(self):
+        # lowest uncovered vertex first, its partners in increasing order
+        got = [tuple(v for e in m for v in e) for m in perfect_matchings(make_family("complete", 6))]
+        assert got == [
+            (0, 1, 2, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 5, 3, 4),
+            (0, 2, 1, 3, 4, 5), (0, 2, 1, 4, 3, 5), (0, 2, 1, 5, 3, 4),
+            (0, 3, 1, 2, 4, 5), (0, 3, 1, 4, 2, 5), (0, 3, 1, 5, 2, 4),
+            (0, 4, 1, 2, 3, 5), (0, 4, 1, 3, 2, 5), (0, 4, 1, 5, 2, 3),
+            (0, 5, 1, 2, 3, 4), (0, 5, 1, 3, 2, 4), (0, 5, 1, 4, 2, 3),
+        ]
+
+    @pytest.mark.parametrize("k", [3, 15, 21])
+    def test_odd_component_yields_nothing_at_once(self, k):
+        # K_k plus an isolated vertex: an even vertex count, no perfect matching
+        edges = tuple((u, v) for u in range(k) for v in range(u + 1, k))
+        start = time.perf_counter()
+        assert list(iter_perfect_matchings(Graph(k + 1, edges))) == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_even_components_still_match(self):
+        # two disjoint 4-cycles: two matchings each
+        g = Graph(8, ((0, 1), (0, 3), (1, 2), (2, 3), (4, 5), (4, 7), (5, 6), (6, 7)))
+        assert len(perfect_matchings(g)) == 4
 
     def test_iterator_is_lazy_and_in_list_order(self):
         # K_40 has 39!! matchings; the first three come without the rest
