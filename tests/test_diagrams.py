@@ -75,12 +75,18 @@ class TestSiteOperator:
         assert all(type(v) is Fraction for v in got.data.values())
 
     @pytest.mark.parametrize("scalar", [1, Fraction(1, 3)])
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_trace_equals_the_entry_scan(self, sparse, scalar):
-        # W at d = 64 has as many entries as its dimension, the (6,4) character sum more
-        op = pair_operators(64)[0] if sparse else character_sum((2, 2, 1, 1), 6, 4)
+    @pytest.mark.parametrize("name", ["W at d=64", "I+F at d=3", "character sum at (6,4)"])
+    def test_trace_equals_the_entry_scan(self, name, scalar):
+        # W has as many entries as its dimension and takes the scan; the others have more
+        if name == "W at d=64":
+            op = pair_operators(64)[0]
+        elif name == "I+F at d=3":
+            _, ident, f = pair_operators(3)
+            op = ident + f
+        else:
+            op = character_sum((2, 2, 1, 1), 6, 4)
         op = op * scalar
-        assert (len(op.data) > op.dim) != sparse
+        assert (len(op.data) > op.dim) == (name != "W at d=64")
         scan = sum((v for (r, c), v in op.data.items() if r == c), start=0)
         got = op.trace()
         assert got == scan != 0
@@ -202,6 +208,12 @@ def reference_diagram_sum(terms, n, d):
     return {k: v for k, v in data.items() if v}
 
 
+def first_appearance(values):
+    """values relabelled 0, 1, 2, ... in the order in which they first appear."""
+    first = {}
+    return tuple(first.setdefault(v, len(first)) for v in values)
+
+
 def stirling2(n, k):
     """The number of ways to split n items into k nonempty blocks."""
     if n == k:
@@ -245,12 +257,12 @@ class TestDiagramSumKernel:
     def test_only_canonical_keys_are_sorted(self, monkeypatch):
         # each term reaches each of its canonical keys once: 14 = S(4,1) + S(4,2) + S(4,3)
         sorted_keys = []
+        reduce = diagrams._reduce
 
         def recording_reduce(keys, sums):
             sorted_keys.append(keys)
             return reduce(keys, sums)
 
-        reduce = diagrams._reduce
         monkeypatch.setattr(diagrams, "_reduce", recording_reduce)
         n, d = 4, 3
         terms = [(c, diag) for c, diag in zip(itertools.cycle([2, -1, 3]), all_diagrams(n))]
@@ -258,8 +270,8 @@ class TestDiagramSumKernel:
         [keys] = sorted_keys
         assert len(keys) == 14 * len(terms)
         for key in keys.tolist():
-            digits = [key // d ** (2 * n - 1 - i) % d for i in range(2 * n)]
-            assert all(v <= max(digits[:i], default=-1) + 1 for i, v in enumerate(digits)), digits
+            digits = tuple(key // d ** (2 * n - 1 - i) % d for i in range(2 * n))
+            assert first_appearance(digits) == digits
 
     @pytest.mark.parametrize("n,d,rows", [(6, 4, 187), (5, 5, 52), (2, 64, 2), (4, 2, 8), (1, 3, 1)])
     def test_value_patterns_count(self, n, d, rows):
@@ -269,11 +281,7 @@ class TestDiagramSumKernel:
 
     @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (3, 4), (4, 3)])
     def test_value_patterns_are_the_first_appearance_relabellings(self, n, d):
-        def relabel(values):
-            first = {}
-            return tuple(first.setdefault(v, len(first)) for v in values)
-
-        canonical = {relabel(values) for values in itertools.product(range(d), repeat=n)}
+        canonical = {first_appearance(values) for values in itertools.product(range(d), repeat=n)}
         assert diagrams._value_patterns(n, d).tolist() == sorted(map(list, canonical))
 
     def test_rejects_fraction_coefficient(self):
