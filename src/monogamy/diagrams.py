@@ -141,11 +141,9 @@ class SiteOperator:
         )
 
     def trace(self) -> Scalar:
-        if len(self.data) > self.dim:
-            # fewer diagonal keys than entries: look each one up
-            diagonal = zip(range(self.dim), range(self.dim))
-            return sum(map(self.data.get, diagonal, itertools.repeat(0)), start=0)
-        return sum((v for (r, c), v in self.data.items() if r == c), start=0)
+        # dim lookups, however many entries there are
+        diagonal = zip(range(self.dim), range(self.dim))
+        return sum(map(self.data.get, diagonal, itertools.repeat(0)), start=0)
 
     def transpose(self) -> "SiteOperator":
         return SiteOperator(self.n, self.d, {(c, r): v for (r, c), v in self.data.items()})

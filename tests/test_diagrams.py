@@ -77,7 +77,7 @@ class TestSiteOperator:
     @pytest.mark.parametrize("scalar", [1, Fraction(1, 3)])
     @pytest.mark.parametrize("name", ["W at d=64", "I+F at d=3", "character sum at (6,4)"])
     def test_trace_equals_the_entry_scan(self, name, scalar):
-        # W has as many entries as its dimension and takes the scan; the others have more
+        # W has as many entries as its dimension; the others have more
         if name == "W at d=64":
             op = pair_operators(64)[0]
         elif name == "I+F at d=3":
