@@ -42,6 +42,7 @@ from .extendibility import (
     q0_dual_value,
     reduced_state,
     werner_primal_certificate,
+    werner_primal_value,
 )
 from .graphs import Graph, edge_average_hamiltonian, make_family, perfect_matchings
 from .partitions import (

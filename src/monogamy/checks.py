@@ -147,8 +147,7 @@ def check_primal_certificates(cap: int) -> tuple[str, bool, str]:
     # d up to 64, the largest d at n = 2 under the default cap
     points = within_budget(((n, d) for n in range(2, 7) for d in range(2, 65)), cap)
     for n, d in points:
-        _, achieved = ext.werner_primal_certificate(n, d, cap)
-        if achieved != ext.p_w_complete(n, d):
+        if ext.werner_primal_value(n, d, cap) != ext.p_w_complete(n, d):
             bad.append((n, d))
     summary = f"{len(points)} certificates, exact rational equality"
     return verdict("werner-primal-certificates", bad, summary)

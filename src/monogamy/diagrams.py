@@ -13,9 +13,9 @@ Floating point enters only in the spectral module.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -300,27 +300,25 @@ def _value_patterns(n: int, d: int) -> np.ndarray:
     return np.array(patterns, dtype=np.int64).reshape(len(patterns), n)
 
 
-def diagram_sum(terms, n: int, d: int) -> SiteOperator:
-    """Sum of coeff * psi(diag) over (coeff, diag) terms with integer coefficients.
+def _canonical_entries(terms, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero canonical entries of the sum of coeff * psi(diag), as (values, sums).
 
-    psi(diag) is the 0/1 matrix whose entry (xbar, x) is 1 iff connected
-    endpoints carry equal values. So an entry depends only on which of the 2n
-    endpoints carry equal values, and a permutation of [d] that relabels every
-    endpoint leaves the sum unchanged. Entry (r, c) is keyed as the int64
-    r * d^n + c, whose 2n base-d digits are the values at out_0..out_{n-1}
-    and then in_0..in_{n-1}. Only the canonical keys are summed, those whose
-    digits first take the value k after they have taken 0..k-1. A term
-    reaches each of its canonical keys once, by giving its pairs, in the
-    order of their first endpoints, the values of one row of
-    _value_patterns(n, d). About _BATCH_KEYS of these keys are sorted and
-    reduced at a time. Then each nonzero canonical entry with k values is
-    copied to its d!/(d-k)! relabellings, which are all distinct. The result
-    is a dict of Python ints. Raises ValueError on a non-integer
-    coefficient, or when the sum of |coeff| reaches 2^63, past which an
-    int64 sum could wrap.
+    An entry of psi(diag) depends only on which of the 2n endpoints carry
+    equal values, so a permutation of [d] that relabels every endpoint leaves
+    the sum unchanged. Entry (r, c) is keyed as the int64 r * d^n + c, whose
+    2n base-d digits are the values at out_0..out_{n-1} and then
+    in_0..in_{n-1}. Only the canonical keys are summed, those whose digits
+    first take the value k after they have taken 0..k-1. A term reaches each
+    of its canonical keys once, by giving its pairs, in the order of their
+    first endpoints, the values of one row of _value_patterns(n, d). About
+    _BATCH_KEYS of these keys are sorted and reduced at a time. Row i of the
+    (m, 2n) array values holds the digits of the i-th nonzero canonical key,
+    in increasing key order, and sums[i] its int64 entry. Raises ValueError
+    on a non-integer coefficient, or when the sum of |coeff| reaches 2^63,
+    past which an int64 sum could wrap.
     """
-    op = SiteOperator(n, d)
-    dim = d ** n
+    if n < 1 or d < 2:
+        raise ValueError("need n >= 1 and d >= 2")
     # the key place of each endpoint: out_e is row digit e and in_e column digit e
     place = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
     patterns = _value_patterns(n, d)
@@ -346,8 +344,22 @@ def diagram_sum(terms, n: int, d: int) -> SiteOperator:
         batch_sums = np.repeat(np.array(coeffs, dtype=np.int64), len(patterns))
         keys, sums = _reduce(np.concatenate([keys, batch_keys]), np.concatenate([sums, batch_sums]))
     keep = sums != 0
-    keys, sums = keys[keep], sums[keep]
-    values = keys[:, None] // place % d
+    return keys[keep, None] // place % d, sums[keep]
+
+
+def diagram_sum(terms, n: int, d: int) -> SiteOperator:
+    """Sum of coeff * psi(diag) over (coeff, diag) terms with integer coefficients.
+
+    psi(diag) is the 0/1 matrix whose entry (xbar, x) is 1 iff connected
+    endpoints carry equal values. The nonzero entries at canonical keys come
+    from _canonical_entries. Each with k values is then copied to its
+    d!/(d-k)! relabellings, which are all distinct. The result is a dict of
+    Python ints. Raises ValueError as _canonical_entries does.
+    """
+    values, sums = _canonical_entries(terms, n, d)
+    op = SiteOperator(n, d)
+    dim = d ** n
+    place = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
     used = values.max(axis=1, initial=0) + 1
     for k in np.unique(used).tolist():
         # the key of a relabelling sigma is the sum over v of sigma(v) * value_places[:, v]
@@ -358,6 +370,36 @@ def diagram_sum(terms, n: int, d: int) -> SiteOperator:
         entries = np.repeat(sums[of_k], len(labels))
         op.data.update(zip(zip(rows.tolist(), cols.tolist()), entries.tolist()))
     return op
+
+
+def diagram_traces(terms, diags, n: int, d: int) -> list[int]:
+    """Tr[psi(D) S] for each D in diags, S the sum of coeff * psi(diag) over terms.
+
+    Tr[psi(D) S] sums S[c, r] over the (r, c) where psi(D) is 1, so D's out
+    endpoint i meets S's column digit i and D's in endpoint i meets S's row
+    digit i. Whether connected endpoints of D carry equal values is unchanged
+    when a permutation of [d] relabels them, so the trace is the sum, over
+    the nonzero canonical entries of S that meet D's condition, of the entry
+    times its orbit size d!/(d-k)!, k the number of values it uses. S is
+    reduced once, by _canonical_entries, and never expanded; the products
+    are Python ints, which do not wrap. Raises ValueError as diagram_sum does.
+    """
+    diags = list(diags)
+    for diag in diags:
+        if diag.n != n:
+            raise ValueError(f"diagram on {diag.n} strands in a trace on n={n}")
+    values, sums = _canonical_entries(terms, n, d)
+    used = values.max(axis=1, initial=0) + 1
+    orbit = [math.perm(d, k) for k in range(2 * n + 1)]
+    weighted = list(map(operator.mul, sums.tolist(), map(orbit.__getitem__, used.tolist())))
+    traces = []
+    for diag in diags:
+        # D's endpoint e sits at digit (e + n) mod 2n of S's key
+        meets = np.ones(len(sums), dtype=bool)
+        for a, b in diag.pairs:
+            meets &= values[:, (a + n) % (2 * n)] == values[:, (b + n) % (2 * n)]
+        traces.append(sum(itertools.compress(weighted, meets.tolist())))
+    return traces
 
 
 def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:
@@ -427,19 +469,26 @@ def jm_sum_brauer(n: int, d: int) -> SiteOperator:
     return embed_sum(f - w, itertools.combinations(range(n), 2), n)
 
 
-def character_sum(lam: Partition, n: int, d: int) -> SiteOperator:
-    """The integer sum of chi_lam(pi) psi(pi) over the pi in S_n with a nonzero character."""
+def character_terms(lam: Partition, n: int, d: int):
+    """The terms (chi_lam(pi), psi(pi)) of the pi in S_n with a nonzero character, lazily.
+
+    lam is checked at the call: a partition of n with at most d rows.
+    """
     lam = check_partition(lam)
     if size(lam) != n:
         raise ValueError(f"partition {lam} is not a partition of n={n}")
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than d={d} rows")
-    terms = ((chi, BrauerDiagram.from_permutation(perm))
-             for perm in itertools.permutations(range(n))
-             if (chi := mn_character(lam, cycle_type(perm))))
-    return diagram_sum(terms, n, d)
+    return ((chi, BrauerDiagram.from_permutation(perm))
+            for perm in itertools.permutations(range(n))
+            if (chi := mn_character(lam, cycle_type(perm))))
+
+
+def character_sum(lam: Partition, n: int, d: int) -> SiteOperator:
+    """The integer sum of chi_lam(pi) psi(pi) over the pi in S_n with a nonzero character."""
+    return diagram_sum(character_terms(lam, n, d), n, d)
 
 
 def young_symmetrizer(lam: Partition, n: int, d: int) -> SiteOperator:
     """Central idempotent eps_lam = (d(lam)/n!) sum_pi chi_lam(pi) psi(pi), scaled once."""
-    return character_sum(lam, n, d) * Fraction(sym_dim(lam), factorial(n))
+    return character_sum(lam, n, d) * Fraction(sym_dim(lam), math.factorial(n))

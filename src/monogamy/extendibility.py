@@ -25,8 +25,9 @@ from .diagrams import (
     SiteOperator,
     basis_digits,
     character_sum,
+    character_terms,
     diagram_sum,
-    matrix_rep,
+    diagram_traces,
     pair_operators,
 )
 from .graphs import Graph, make_family, perfect_matchings
@@ -427,22 +428,34 @@ def trace_product(a: SiteOperator, b: SiteOperator) -> Fraction:
     return Fraction(sum(map(operator.mul, a.data.values(), b_transposed)))
 
 
+def werner_primal_value(n: int, d: int, budget: int | None = None) -> Fraction:
+    """The exact antisymmetric weight of every edge marginal of the Werner primal certificate.
+
+    The certificate is A/T, A the integer rectangular character sum and T
+    its trace, so Tr[P_11 rho_01] = (1 - Tr[F_01 rho]) / 2 = (T - Tr[F_01 A]) / 2T.
+    Both traces are read off A's canonical entries by diagram_traces, so
+    neither A nor the state is built.
+    """
+    _check_nd(n, d)
+    check_budget(n, d, budget)
+    terms = character_terms(optimal_rectangular_partition(n, d), n, d)
+    diags = [BrauerDiagram.identity(n), BrauerDiagram.transposition(n, 0, 1)]
+    t, flips = diagram_traces(terms, diags, n, d)
+    return Fraction(t - flips, 2 * t)
+
+
 def werner_primal_certificate(
     n: int, d: int, budget: int | None = None
 ) -> tuple[SiteOperator, Fraction]:
     """Optimal Werner state on K_n: the normalized rectangular isotypic projector.
 
     Returns (state, achieved) where achieved is the exact antisymmetric
-    weight of the (0,1) edge marginal; full permutation symmetry makes all
-    edge marginals equal.
+    weight of the (0,1) edge marginal, werner_primal_value(n, d); full
+    permutation symmetry makes all edge marginals equal.
     """
-    _check_nd(n, d)
-    check_budget(n, d, budget)
+    achieved = werner_primal_value(n, d, budget)
     a = character_sum(optimal_rectangular_partition(n, d), n, d)
-    t = a.trace()
-    # the state is A/T, and Tr[P_11 rho_01] = (1 - Tr[F_01 rho]) / 2 = (T - Tr[F_01 A]) / 2T
-    flips = trace_product(matrix_rep(BrauerDiagram.transposition(n, 0, 1), d), a)
-    return a * Fraction(1, t), Fraction(t - flips, 2 * t)
+    return a * Fraction(1, a.trace()), achieved
 
 
 def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> SiteOperator:

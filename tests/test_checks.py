@@ -7,7 +7,7 @@ import pytest
 
 from monogamy import checks, cli
 from monogamy import extendibility as ext
-from monogamy.diagrams import compose
+from monogamy.diagrams import BrauerDiagram, compose, diagram_traces
 from monogamy.partitions import content
 
 CAP = 64
@@ -18,6 +18,12 @@ isotropic_pair_state = ext.isotropic_pair_state
 def _one_more_loop(a, b):
     result, loops = compose(a, b)
     return result, loops + 1
+
+
+def _one_more_flip_trace(terms, diags, n, d):
+    """diagram_traces with Tr[F_01 A] read one too high."""
+    flip = BrauerDiagram.transposition(n, 0, 1)
+    return [t + (diag == flip) for t, diag in zip(diagram_traces(terms, diags, n, d), diags)]
 
 
 # check -> (module, attribute, planted replacement), each breaking one side of that check
@@ -68,16 +74,26 @@ def test_every_check_has_a_planted_defect():
     assert sorted(DEFECTS) == sorted(check.__name__ for check in checks.CHECKS)
 
 
-@pytest.mark.parametrize("check", checks.CHECKS, ids=lambda check: check.__name__)
-def test_planted_defect_fails_its_check(monkeypatch, check):
-    module, attr, planted = DEFECTS[check.__name__]
-    monkeypatch.setattr(module, attr, planted)
+def assert_fails_with_mismatches(check):
     _, ok, detail = check(CAP)
     assert not ok
     match = FAIL_DETAIL.fullmatch(detail)
     assert match, detail
     total = int(match.group(2))
     assert len(match.group(1).split("; ")) == min(total, checks.SHOWN) <= 5
+
+
+@pytest.mark.parametrize("check", checks.CHECKS, ids=lambda check: check.__name__)
+def test_planted_defect_fails_its_check(monkeypatch, check):
+    module, attr, planted = DEFECTS[check.__name__]
+    monkeypatch.setattr(module, attr, planted)
+    assert_fails_with_mismatches(check)
+
+
+def test_planted_certificate_defect_fails_the_primal_check(monkeypatch):
+    # DEFECTS breaks the closed-form side of this check; this breaks the certificate side
+    monkeypatch.setattr(ext, "diagram_traces", _one_more_flip_trace)
+    assert_fails_with_mismatches(checks.check_primal_certificates)
 
 
 def test_verify_with_a_planted_defect_exits_1(capsys, monkeypatch):

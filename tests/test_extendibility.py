@@ -53,6 +53,7 @@ from monogamy.extendibility import (
     special_partitions,
     trace_product,
     werner_primal_certificate,
+    werner_primal_value,
 )
 from monogamy.graphs import make_family
 from monogamy.partitions import (
@@ -437,14 +438,25 @@ class TestPrimalCertificates:
         _, p_11, _ = projectors(d)
         assert achieved == trace_product(p_11, reduced_state(state, (0, 1), n, d))
 
+    @pytest.mark.parametrize("n,d,budget", [
+        (2, 2, None), (3, 2, None), (4, 2, None), (4, 3, None), (5, 2, None), (6, 2, None),
+        (7, 2, 128), (7, 3, 2187),
+    ])
+    def test_value_equals_the_certificate_and_closed_form(self, n, d, budget):
+        value = werner_primal_value(n, d, budget)
+        assert type(value) is Fraction
+        assert value == werner_primal_certificate(n, d, budget)[1] == p_w_complete(n, d)
+
     def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            werner_primal_certificate(8, 2, budget=100)
+        for primal in (werner_primal_certificate, werner_primal_value):
+            with pytest.raises(BudgetExceededError):
+                primal(8, 2, budget=100)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected(self, budget):
-        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
-            werner_primal_certificate(3, 2, budget=budget)
+        for primal in (werner_primal_certificate, werner_primal_value):
+            with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+                primal(3, 2, budget=budget)
 
 
 class TestMatchingStates:
