@@ -390,8 +390,7 @@ def diagram_traces(terms, diags, n: int, d: int) -> list[int]:
             raise ValueError(f"diagram on {diag.n} strands in a trace on n={n}")
     values, sums = _canonical_entries(terms, n, d)
     used = values.max(axis=1, initial=0) + 1
-    orbit = [math.perm(d, k) for k in range(2 * n + 1)]
-    weighted = list(map(operator.mul, sums.tolist(), map(orbit.__getitem__, used.tolist())))
+    weighted = [s * math.perm(d, k) for s, k in zip(sums.tolist(), used.tolist())]
     traces = []
     for diag in diags:
         # D's endpoint e sits at digit (e + n) mod 2n of S's key
