@@ -110,10 +110,15 @@ Matching = tuple[tuple[int, int], ...]
 
 
 def iter_perfect_matchings(g: Graph) -> Iterator[Matching]:
-    """Perfect matchings one at a time, by eliminating the lowest uncovered vertex.
+    """Perfect matchings one at a time, each as its (min, max) pairs in increasing order.
 
-    A graph with a connected component of odd size has none and yields
-    nothing, found before any search.
+    Each step takes the uncovered vertex with the fewest uncovered
+    neighbours, the lowest such index on a tie, and matches it to each of
+    those neighbours in increasing order; a vertex with none ends its
+    branch at once. On a complete graph every uncovered vertex ties, so
+    the lowest is always taken; on other graphs the listing order follows
+    the choices. A graph with a connected component of odd size has none
+    and yields nothing, found before any search.
     """
     n = g.vertex_count
     adj = {v: set() for v in range(n)}
@@ -133,20 +138,31 @@ def iter_perfect_matchings(g: Graph) -> Iterator[Matching]:
         if size % 2:
             return
 
-    def recurse(covered: set, acc: list) -> Iterator[Matching]:
-        if len(covered) == n:
-            yield tuple(acc)
-            return
-        u = min(v for v in range(n) if v not in covered)
-        for v in sorted(adj[u]):
-            if v not in covered:
-                covered.update((u, v))
-                acc.append((u, v))
-                yield from recurse(covered, acc)
-                acc.pop()
-                covered.difference_update((u, v))
+    # free[v]: how many neighbours of v are uncovered
+    free = [len(adj[v]) for v in range(n)]
+    covered = [False] * n
 
-    yield from recurse(set(), [])
+    def set_covered(pair: tuple[int, int], flag: bool):
+        for v in pair:
+            covered[v] = flag
+            for w in adj[v]:
+                free[w] += -1 if flag else 1
+
+    def recurse(acc: list) -> Iterator[Matching]:
+        if len(acc) * 2 == n:
+            yield tuple(sorted(acc))
+            return
+        u = min((v for v in range(n) if not covered[v]), key=free.__getitem__)
+        for v in sorted(adj[u]):
+            if not covered[v]:
+                pair = (min(u, v), max(u, v))
+                set_covered(pair, True)
+                acc.append(pair)
+                yield from recurse(acc)
+                acc.pop()
+                set_covered(pair, False)
+
+    yield from recurse([])
 
 
 def perfect_matchings(g: Graph) -> list[Matching]:

@@ -6,6 +6,12 @@ import pytest
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# K_15 on 0..14 with 15, 16 and 17 joined only to 14: one connected component of
+# even size, but no perfect matching
+PENDANT_N = 18
+PENDANT_EDGES = [(u, v) for u in range(15) for v in range(u + 1, 15)]
+PENDANT_EDGES += [(14, 15), (14, 16), (14, 17)]
+
 
 def load_golden(name: str) -> dict[tuple[int, int], Fraction]:
     """Golden table cells keyed by (n, d)."""

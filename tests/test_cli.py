@@ -12,7 +12,7 @@ import scipy.sparse.linalg
 from monogamy import cli
 from monogamy.extendibility import p_w_complete
 
-from conftest import load_golden
+from conftest import PENDANT_EDGES, PENDANT_N, load_golden
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +252,14 @@ class TestMatchings:
         path = tmp_path / "g.json"
         edges = [[u, v] for u in range(k) for v in range(u + 1, k)]
         path.write_text(json.dumps({"n": k + 1, "edges": edges}))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "matchings", "--graph", str(path), "--count")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "0\n")
+
+    def test_pendant_dead_end_counts_zero_at_once(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": PENDANT_N, "edges": PENDANT_EDGES}))
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "matchings", "--graph", str(path), "--count")
         assert time.perf_counter() - start < 1.0

@@ -1,6 +1,7 @@
 """Graph families, embeddings, edge-averaged Hamiltonians, matchings."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from monogamy.graphs import (
     make_family,
     perfect_matchings,
 )
+
+from conftest import PENDANT_EDGES, PENDANT_N
 
 
 def double_factorial(k: int) -> int:
@@ -226,6 +229,25 @@ class TestMatchings:
         start = time.perf_counter()
         assert list(iter_perfect_matchings(Graph(k + 1, edges))) == []
         assert time.perf_counter() - start < 1.0
+
+    def test_pendant_dead_end_ends_at_once(self):
+        # K_15 with 15, 16 and 17 joined only to 14: one even component, no perfect
+        # matching; eliminating the lowest vertex first met the dead end 14!! times
+        start = time.perf_counter()
+        assert list(iter_perfect_matchings(Graph(PENDANT_N, tuple(PENDANT_EDGES)))) == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_matching_sets_as_by_brute_force(self):
+        rng = random.Random(0)
+        for _ in range(40):
+            n = rng.choice([4, 6, 8])
+            p = rng.random()
+            edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+            got = perfect_matchings(Graph(n, edges))
+            want = {m for m in itertools.combinations(edges, n // 2)
+                    if sorted(v for e in m for v in e) == list(range(n))}
+            assert len(got) == len(set(got)) == len(want)
+            assert set(got) == want
 
     def test_even_components_still_match(self):
         # two disjoint 4-cycles: two matchings each
