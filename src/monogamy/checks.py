@@ -172,10 +172,10 @@ def check_matching_states(cap: int) -> tuple[str, bool, str]:
 
 def check_ppt_region(cap: int) -> tuple[str, bool, str]:
     bad = []
+    grid = [Fraction(i, 100) for i in range(101)]
     for d in (2, 3):
-        for i in range(101):
-            for j in range(101 - i):
-                p, q = Fraction(i, 100), Fraction(j, 100)
+        for i, p in enumerate(grid):
+            for q in grid[:101 - i]:
                 if ext.brauer_is_separable(p, q, d) != ext.brauer_is_ppt(p, q, d):
                     bad.append((d, p, q))
     return verdict("ppt-separability-region", bad, "101x101 grid at d in {2,3}")

@@ -352,11 +352,18 @@ def diagram_sum(terms, n: int, d: int) -> SiteOperator:
 
     psi(diag) is the 0/1 matrix whose entry (xbar, x) is 1 iff connected
     endpoints carry equal values. The nonzero entries at canonical keys come
-    from _canonical_entries. Each with k values is then copied to its
-    d!/(d-k)! relabellings, which are all distinct. The result is a dict of
-    Python ints. Raises ValueError as _canonical_entries does.
+    from _canonical_entries and are expanded by _expand_entries. The result
+    is a dict of Python ints. Raises ValueError as _canonical_entries does.
     """
-    values, sums = _canonical_entries(terms, n, d)
+    return _expand_entries(*_canonical_entries(terms, n, d), n, d)
+
+
+def _expand_entries(values: np.ndarray, sums: np.ndarray, n: int, d: int) -> SiteOperator:
+    """The operator whose canonical entries are (values, sums) of _canonical_entries.
+
+    Each entry with k values is copied to its d!/(d-k)! relabellings, which
+    are all distinct.
+    """
     op = SiteOperator(n, d)
     dim = d ** n
     place = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
@@ -375,20 +382,28 @@ def diagram_sum(terms, n: int, d: int) -> SiteOperator:
 def diagram_traces(terms, diags, n: int, d: int) -> list[int]:
     """Tr[psi(D) S] for each D in diags, S the sum of coeff * psi(diag) over terms.
 
-    Tr[psi(D) S] sums S[c, r] over the (r, c) where psi(D) is 1, so D's out
-    endpoint i meets S's column digit i and D's in endpoint i meets S's row
-    digit i. Whether connected endpoints of D carry equal values is unchanged
-    when a permutation of [d] relabels them, so the trace is the sum, over
-    the nonzero canonical entries of S that meet D's condition, of the entry
-    times its orbit size d!/(d-k)!, k the number of values it uses. S is
-    reduced once, by _canonical_entries, and never expanded; the products
-    are Python ints, which do not wrap. Raises ValueError as diagram_sum does.
+    S is reduced once, by _canonical_entries, and its traces are read off
+    by _entry_traces without expanding it. Raises ValueError as
+    diagram_sum does.
     """
     diags = list(diags)
     for diag in diags:
         if diag.n != n:
             raise ValueError(f"diagram on {diag.n} strands in a trace on n={n}")
-    values, sums = _canonical_entries(terms, n, d)
+    return _entry_traces(*_canonical_entries(terms, n, d), diags, n, d)
+
+
+def _entry_traces(values: np.ndarray, sums: np.ndarray, diags, n: int, d: int) -> list[int]:
+    """Tr[psi(D) S] for each D in diags, S given by its canonical entries (values, sums).
+
+    Tr[psi(D) S] sums S[c, r] over the (r, c) where psi(D) is 1, so D's out
+    endpoint i meets S's column digit i and D's in endpoint i meets S's row
+    digit i. Whether connected endpoints of D carry equal values is unchanged
+    when a permutation of [d] relabels them, so the trace is the sum, over
+    the nonzero canonical entries of S that meet D's condition, of the entry
+    times its orbit size d!/(d-k)!, k the number of values it uses. The
+    products are Python ints, which do not wrap.
+    """
     used = values.max(axis=1, initial=0) + 1
     weighted = [s * math.perm(d, k) for s, k in zip(sums.tolist(), used.tolist())]
     traces = []

@@ -23,8 +23,10 @@ from .budget import check_budget
 from .diagrams import (
     BrauerDiagram,
     SiteOperator,
+    _canonical_entries,
+    _entry_traces,
+    _expand_entries,
     basis_digits,
-    character_sum,
     character_terms,
     diagram_sum,
     diagram_traces,
@@ -33,13 +35,15 @@ from .diagrams import (
 from .graphs import Graph, make_family, perfect_matchings
 from .partitions import (
     Partition,
+    _content,
+    _is_brauer_label,
+    _odd_row_count,
+    _twice_brauer_jm_eigenvalue,
     brauer_jm_eigenvalue,
     check_partition,
     content,
     enumerate_sym_irreps,
-    odd_row_count,
     optimal_rectangular_partition,
-    twice_brauer_jm_eigenvalue,
 )
 from .spectral import edge_sum, float_pair_operators, lambda_max, top_eigenpair
 
@@ -135,38 +139,41 @@ class AffineFn:
         return self.offset + self.slope * x
 
 
-def minimize_max_affine(fns: list[AffineFn]) -> tuple[Fraction, Fraction, tuple[AffineFn, ...]]:
-    """Exact minimum over x of max_i fns_i(x).
+def _top_lines(lines) -> list[tuple[int, int, object]]:
+    """Of the integer lines (s, o, payload) of each slope s, the first with the largest offset o.
 
-    Returns (argmin, value, active functions); the minimum of the convex
-    piecewise-linear max sits where the slope of its upper envelope changes
-    sign. The envelope is built on integers: slopes are scaled by the lcm
-    of their denominators and offsets by the lcm of theirs, which keeps
-    every comparison. Of the lines with one slope the first with the
-    largest offset is kept. On the slope-sorted lines a hull top
+    The others lie below it, so they never reach the upper envelope. The
+    lines come in the order their slopes first appear.
+    """
+    best: dict[int, tuple[int, int, object]] = {}
+    for line in lines:
+        if line[0] not in best or line[1] > best[line[0]][1]:
+            best[line[0]] = line
+    return list(best.values())
+
+
+def _envelope_minimum(lines) -> tuple[tuple[int, int, object], ...]:
+    """The lines of the upper envelope that are active at its minimum.
+
+    lines are (s, o, payload) with integer s and o: every slope over one
+    positive denominator and every offset over another, so integer
+    comparisons keep every order. Of the lines with one slope only
+    _top_lines' is kept. On the slope-sorted lines a hull top
     (s1, o1), (s2, o2) is popped for the next line (s, o) when its two
     intersections are out of order, (o2 - o1)(s2 - s) >= (o - o2)(s1 - s2).
-    Only the returned x, value and functions are read from the original
-    Fractions. Raises ValueError when empty or unbounded below.
+    The minimum of the convex envelope sits where its slope changes sign:
+    the result is its one line, which is then flat, or the two lines that
+    meet there, left first. Raises ValueError when empty or unbounded below.
     """
-    if not fns:
+    # the slopes are distinct, so sorting never compares two payloads
+    ordered = sorted(_top_lines(lines))
+    if not ordered:
         raise ValueError("empty affine family")
-    slope_scale = math.lcm(*{f.slope.denominator for f in fns})
-    offset_scale = math.lcm(*{f.offset.denominator for f in fns})
-    best: dict[int, tuple[int, AffineFn]] = {}
-    for f in fns:
-        s = f.slope.numerator * (slope_scale // f.slope.denominator)
-        o = f.offset.numerator * (offset_scale // f.offset.denominator)
-        if s not in best or o > best[s][0]:
-            best[s] = (o, f)
-    # the slopes are distinct, so sorting never compares two AffineFn
-    lines = sorted((s, o, f) for s, (o, f) in best.items())
-
-    if lines[0][0] > 0 or lines[-1][0] < 0:
+    if ordered[0][0] > 0 or ordered[-1][0] < 0:
         raise ValueError("max of affine family is unbounded below")
 
-    hull: list[tuple[int, int, AffineFn]] = []
-    for line in lines:
+    hull: list[tuple[int, int, object]] = []
+    for line in ordered:
         s, o, _ = line
         while len(hull) >= 2:
             (s1, o1, _), (s2, o2, _) = hull[-2:]
@@ -174,21 +181,41 @@ def minimize_max_affine(fns: list[AffineFn]) -> tuple[Fraction, Fraction, tuple[
                 break
             hull.pop()
         hull.append(line)
-    i = next(idx for idx, (s, _, _) in enumerate(hull) if s >= 0)
-    hull = [f for _, _, f in hull]
-
-    def isect(f: AffineFn, g: AffineFn) -> Fraction:
-        return Fraction(g.offset - f.offset, f.slope - g.slope)
-
     if len(hull) == 1:
-        # one slope, which the bound check above forces to be 0
-        return Fraction(0), hull[0].offset, (hull[0],)
-    if i == 0:
-        # flat leftmost piece: minimum value attained on it
-        x = isect(hull[0], hull[1])
-        return x, hull[0].offset, (hull[0], hull[1])
-    x = isect(hull[i - 1], hull[i])
-    return x, hull[i - 1](x), (hull[i - 1], hull[i])
+        return (hull[0],)
+    # the first line of slope >= 0; at index 0 it is flat and pairs with the next
+    i = max(1, next(idx for idx, (s, _, _) in enumerate(hull) if s >= 0))
+    return hull[i - 1], hull[i]
+
+
+def _minimum(active: tuple[AffineFn, ...]) -> tuple[Fraction, Fraction, tuple[AffineFn, ...]]:
+    """(argmin, value, active) from the branches _envelope_minimum found active."""
+    if len(active) == 1:
+        # one slope, which the bound check forces to be 0
+        return Fraction(0), active[0].offset, active
+    f, g = active
+    x = Fraction(g.offset - f.offset, f.slope - g.slope)
+    # a flat left branch attains the minimum along its whole length
+    return x, f.offset if f.slope == 0 else f(x), active
+
+
+def minimize_max_affine(fns: list[AffineFn]) -> tuple[Fraction, Fraction, tuple[AffineFn, ...]]:
+    """Exact minimum over x of max_i fns_i(x).
+
+    Returns (argmin, value, active functions). The envelope is built on
+    integers by _envelope_minimum: slopes are scaled by the lcm of their
+    denominators and offsets by the lcm of theirs. Only the returned x,
+    value and functions are read from the original Fractions. Raises
+    ValueError when empty or unbounded below.
+    """
+    slope_scale = math.lcm(*{f.slope.denominator for f in fns})
+    offset_scale = math.lcm(*{f.offset.denominator for f in fns})
+    active = _envelope_minimum(
+        (f.slope.numerator * (slope_scale // f.slope.denominator),
+         f.offset.numerator * (offset_scale // f.offset.denominator), f)
+        for f in fns
+    )
+    return _minimum(tuple(f for _, _, f in active))
 
 
 def okada_easy_pairs(n: int, d: int) -> list[tuple[Partition, Partition]]:
@@ -204,8 +231,8 @@ def okada_easy_pairs(n: int, d: int) -> list[tuple[Partition, Partition]]:
     _check_nd(n, d)
     pairs = {((n - 2 * r,) if 2 * r < n else (), (n,)) for r in range(n // 2 + 1)}
     for mu in enumerate_sym_irreps(n, d):
-        pairs.add(((1,) * odd_row_count(mu), mu))
-        if len(mu) + sum(1 for p in mu if p >= 2) <= d:
+        pairs.add(((1,) * _odd_row_count(mu), mu))
+        if _is_brauer_label(mu, d):
             pairs.add((mu, mu))
     return sorted(pairs)
 
@@ -226,36 +253,44 @@ def special_partitions(n: int, d: int) -> dict[str, Partition]:
     }
 
 
-def iso_affine_family(n: int, d: int) -> list[AffineFn]:
-    """Eigenvalue branches f_{mu,lambda}(x) of the isotropic dual that can reach its envelope.
+def _iso_lines(n: int, d: int) -> list[tuple[int, int, tuple[Partition, Partition]]]:
+    """The isotropic dual's branches as integer lines (2 slope, |E|(d - 1) offset, (lam, mu)).
 
     The easy-rule pair (lambda, mu) gives the branch with slope
     jm(lambda) + d c(mu) - |E| and offset (d c(mu) - |E|) / (|E| (d - 1)),
-    jm being brauer_jm_eigenvalue. Both are kept as the integers
-    2 jm(lambda) + 2 d c(mu) - 2|E| and d c(mu) - |E| over the shared
-    denominators 2 and |E| (d - 1), with 2 jm and d c cached per label. A
-    branch below another of the same slope never reaches the envelope, so
-    only the first branch with the largest offset at each slope is
-    returned, as an AffineFn.
+    jm being brauer_jm_eigenvalue, so the line holds the integers
+    2 jm(lambda) + 2 d c(mu) - 2|E| and d c(mu) - |E|. The labels are
+    okada_easy_pairs' own, so 2 jm and d c are computed unchecked, once per
+    label.
     """
     _check_nd(n, d)
     edges = n * (n - 1) // 2
     twice_jm: dict[Partition, int] = {}
     d_content: dict[Partition, int] = {}
-    # 2 * slope -> (offset numerator, lam, mu)
-    best: dict[int, tuple[int, Partition, Partition]] = {}
+    lines = []
     for lam, mu in okada_easy_pairs(n, d):
         if lam not in twice_jm:
-            twice_jm[lam] = twice_brauer_jm_eigenvalue(lam, n, d)
+            twice_jm[lam] = _twice_brauer_jm_eigenvalue(lam, n, d)
         if mu not in d_content:
-            d_content[mu] = d * content(mu)
+            d_content[mu] = d * _content(mu)
         offset = d_content[mu] - edges
-        slope2 = twice_jm[lam] + 2 * offset
-        if slope2 not in best or offset > best[slope2][0]:
-            best[slope2] = (offset, lam, mu)
-    den = edges * (d - 1)
-    return [AffineFn(Fraction(slope2, 2), Fraction(offset, den), lam, mu)
-            for slope2, (offset, lam, mu) in best.items()]
+        lines.append((twice_jm[lam] + 2 * offset, offset, (lam, mu)))
+    return lines
+
+
+def _iso_fn(n: int, d: int, line: tuple[int, int, tuple[Partition, Partition]]) -> AffineFn:
+    """The AffineFn of one _iso_lines line."""
+    slope2, offset, (lam, mu) = line
+    return AffineFn(Fraction(slope2, 2), Fraction(offset, n * (n - 1) // 2 * (d - 1)), lam, mu)
+
+
+def iso_affine_family(n: int, d: int) -> list[AffineFn]:
+    """Eigenvalue branches f_{mu,lambda}(x) of the isotropic dual that can reach its envelope.
+
+    The branches are the lines of _iso_lines; only those _top_lines keeps
+    can reach the envelope, and they are returned as AffineFns.
+    """
+    return [_iso_fn(n, d, line) for line in _top_lines(_iso_lines(n, d))]
 
 
 def isotropic_dual_minimax(n: int, d: int) -> Fraction:
@@ -265,8 +300,14 @@ def isotropic_dual_minimax(n: int, d: int) -> Fraction:
 
 
 def isotropic_dual_argmin(n: int, d: int) -> tuple[Fraction, Fraction, tuple[AffineFn, ...]]:
-    """The dual optimum (x*, value, active branches)."""
-    return minimize_max_affine(iso_affine_family(n, d))
+    """The dual optimum (x*, value, active branches).
+
+    It equals minimize_max_affine(iso_affine_family(n, d)), but the
+    envelope runs on the integer lines of _iso_lines, and only the active
+    branches become AffineFns.
+    """
+    active = _envelope_minimum(_iso_lines(n, d))
+    return _minimum(tuple(_iso_fn(n, d, line) for line in active))
 
 
 def q0_affine_family(n: int, d: int) -> list[AffineFn]:
@@ -428,6 +469,14 @@ def trace_product(a: SiteOperator, b: SiteOperator) -> Fraction:
     return Fraction(sum(map(operator.mul, a.data.values(), b_transposed)))
 
 
+def _primal_terms(n: int, d: int, budget: int | None) -> tuple:
+    """After the checks: the terms of the rectangular character sum A, and the diagrams I, F_01."""
+    _check_nd(n, d)
+    check_budget(n, d, budget)
+    terms = character_terms(optimal_rectangular_partition(n, d), n, d)
+    return terms, [BrauerDiagram.identity(n), BrauerDiagram.transposition(n, 0, 1)]
+
+
 def werner_primal_value(n: int, d: int, budget: int | None = None) -> Fraction:
     """The exact antisymmetric weight of every edge marginal of the Werner primal certificate.
 
@@ -436,10 +485,7 @@ def werner_primal_value(n: int, d: int, budget: int | None = None) -> Fraction:
     Both traces are read off A's canonical entries by diagram_traces, so
     neither A nor the state is built.
     """
-    _check_nd(n, d)
-    check_budget(n, d, budget)
-    terms = character_terms(optimal_rectangular_partition(n, d), n, d)
-    diags = [BrauerDiagram.identity(n), BrauerDiagram.transposition(n, 0, 1)]
+    terms, diags = _primal_terms(n, d, budget)
     t, flips = diagram_traces(terms, diags, n, d)
     return Fraction(t - flips, 2 * t)
 
@@ -451,11 +497,14 @@ def werner_primal_certificate(
 
     Returns (state, achieved) where achieved is the exact antisymmetric
     weight of the (0,1) edge marginal, werner_primal_value(n, d); full
-    permutation symmetry makes all edge marginals equal.
+    permutation symmetry makes all edge marginals equal. A is reduced to
+    its canonical entries once: T, Tr[F_01 A] and the expanded A all come
+    from them.
     """
-    achieved = werner_primal_value(n, d, budget)
-    a = character_sum(optimal_rectangular_partition(n, d), n, d)
-    return a * Fraction(1, a.trace()), achieved
+    terms, diags = _primal_terms(n, d, budget)
+    values, sums = _canonical_entries(terms, n, d)
+    t, flips = _entry_traces(values, sums, diags, n, d)
+    return _expand_entries(values, sums, n, d) * Fraction(1, t), Fraction(t - flips, 2 * t)
 
 
 def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> SiteOperator:
@@ -532,12 +581,23 @@ def is_positive_brauer_prime(pp, qq, d: int) -> bool:
     return all(a * pp + b * qq + c >= 0 for a, b, c in _positivity_forms(d))
 
 
+def _as_fraction(x) -> Fraction:
+    """x itself when it is a Fraction already, else Fraction(x)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def brauer_is_separable(p, q, d: int) -> bool:
-    """Separability of the projector-weight Brauer state (p, q)."""
-    p, q = Fraction(p), Fraction(q)
-    if p < 0 or q < 0 or p + q > 1:
+    """Separability of the projector-weight Brauer state (p, q): q <= 1/2 and p <= 1/d.
+
+    Tested in integers: with p = a/D1 and q = b/D2 in lowest terms, the
+    state is valid iff a, b >= 0 and a D2 + b D1 <= D1 D2, and separable
+    iff 2b <= D2 and d a <= D1.
+    """
+    p, q = _as_fraction(p), _as_fraction(q)
+    a, d1, b, d2 = p.numerator, p.denominator, q.numerator, q.denominator
+    if a < 0 or b < 0 or a * d2 + b * d1 > d1 * d2:
         raise ValueError(f"(p, q) = ({p}, {q}) is not a valid Brauer state")
-    return q <= Fraction(1, 2) and p <= Fraction(1, d)
+    return 2 * b <= d2 and d * a <= d1
 
 
 @lru_cache(maxsize=None)
@@ -566,7 +626,7 @@ def brauer_is_ppt(p, q, d: int) -> bool:
     Tested in integers: with p = a/D1 and q = b/D2 in lowest terms, every
     form of _ppt_forms(d) must give alpha a D2 + beta b D1 + gamma D1 D2 >= 0.
     """
-    p, q = Fraction(p), Fraction(q)
+    p, q = _as_fraction(p), _as_fraction(q)
     a, d1, b, d2 = p.numerator, p.denominator, q.numerator, q.denominator
     return all(alpha * a * d2 + beta * b * d1 + gamma * d1 * d2 >= 0
                for alpha, beta, gamma in _ppt_forms(d))

@@ -7,6 +7,13 @@ dimension formulas, irrep-label enumeration for the symmetric-group and
 Brauer-algebra towers, symmetric-group characters via the
 Murnaghan-Nakayama rule, and the one shifted-Schur evaluation needed by
 the Werner closed form.
+
+The partitions of each n are enumerated once, on first use, and kept in
+a cache keyed by n alone; both irrep enumerations filter that tuple into
+a fresh list.  Every public function validates its partition arguments
+with check_partition.  The private label functions (_content,
+_odd_row_count, _twice_brauer_jm_eigenvalue, _is_brauer_label) skip that
+check, for labels the package enumerated itself.
 """
 
 from __future__ import annotations
@@ -49,7 +56,11 @@ def conjugate(lam: Partition) -> Partition:
 
 def content(lam: Partition) -> int:
     """Sum of (column - row) over all boxes, 0-indexed: row i adds p(p - 1)/2 - i p."""
-    lam = check_partition(lam)
+    return _content(check_partition(lam))
+
+
+def _content(lam: Partition) -> int:
+    """content of a partition known to be valid, unchecked."""
     return sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam))
 
 
@@ -60,13 +71,22 @@ def brauer_jm_eigenvalue(lam: Partition, n: int, d: int) -> Fraction:
 
 def twice_brauer_jm_eigenvalue(lam: Partition, n: int, d: int) -> int:
     """2 * brauer_jm_eigenvalue(lam, n, d) as an int: 2 c(lam) - (n - |lam|)(d - 1)."""
-    return 2 * content(lam) - (n - size(lam)) * (d - 1)
+    return _twice_brauer_jm_eigenvalue(check_partition(lam), n, d)
+
+
+def _twice_brauer_jm_eigenvalue(lam: Partition, n: int, d: int) -> int:
+    """twice_brauer_jm_eigenvalue of a partition known to be valid, unchecked."""
+    return 2 * _content(lam) - (n - size(lam)) * (d - 1)
 
 
 def odd_row_count(mu: Partition) -> int:
     """Number of rows of odd length, written r(mu)."""
-    mu = check_partition(mu)
-    return sum(1 for p in mu if p % 2 == 1)
+    return _odd_row_count(check_partition(mu))
+
+
+def _odd_row_count(mu: Partition) -> int:
+    """odd_row_count of a partition known to be valid, unchecked."""
+    return sum(p % 2 for p in mu)
 
 
 def hooks(lam: Partition) -> list[int]:
@@ -122,11 +142,17 @@ def partitions_of(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in the order of partitions_of, enumerated once per n."""
+    return tuple(partitions_of(n))
+
+
 def enumerate_sym_irreps(n: int, d: int) -> list[Partition]:
     """All partitions of n with at most d rows, lexicographically descending."""
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
-    return [lam for lam in partitions_of(n) if len(lam) <= d]
+    return [lam for lam in _partitions(n) if len(lam) <= d]
 
 
 def enumerate_brauer_irreps(n: int, d: int) -> list[Partition]:
@@ -137,15 +163,13 @@ def enumerate_brauer_irreps(n: int, d: int) -> list[Partition]:
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
-    out = []
-    for m in range(n % 2, n + 1, 2):
-        for lam in partitions_of(m):
-            conj = conjugate(lam)
-            c1 = conj[0] if conj else 0
-            c2 = conj[1] if len(conj) > 1 else 0
-            if c1 + c2 <= d:
-                out.append(lam)
-    return out
+    return [lam for m in range(n % 2, n + 1, 2) for lam in _partitions(m)
+            if _is_brauer_label(lam, d)]
+
+
+def _is_brauer_label(lam: Partition, d: int) -> bool:
+    """lam'_1 + lam'_2 <= d, unchecked: lam's rows plus its rows of length at least 2."""
+    return len(lam) + sum(p >= 2 for p in lam) <= d
 
 
 def shifted_schur_11(lam: Partition, d: int) -> int:

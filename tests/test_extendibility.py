@@ -39,6 +39,7 @@ from monogamy.extendibility import (
     isotropic_dual_argmin,
     isotropic_dual_minimax,
     isotropic_pair_state,
+    iso_affine_family,
     matching_lower_bound_state,
     minimize_max_affine,
     okada_easy_pairs,
@@ -220,6 +221,12 @@ class TestDualSolvers:
     def test_easy_pairs_match_set_definition(self, n):
         for d in range(2, 10):
             assert okada_easy_pairs(n, d) == _easy_pairs_by_definition(n, d), d
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_integer_lines_match_the_affine_family(self, n):
+        # the dual's envelope runs on integer lines; its AffineFn family gives the same optimum
+        for d in range(2, 17):
+            assert isotropic_dual_argmin(n, d) == minimize_max_affine(iso_affine_family(n, d)), d
 
     def test_odd_odd_breakpoint(self):
         x, v, _ = isotropic_dual_argmin(5, 3)
@@ -503,6 +510,37 @@ class TestReducedState:
             reduced_state(rho, (1, 1), 3, 2)
 
 
+def _separable_by_fractions(p, q, d):
+    """Brauer separability compared in Fractions: ValueError off the state triangle."""
+    p, q = Fraction(p), Fraction(q)
+    if p < 0 or q < 0 or p + q > 1:
+        raise ValueError(f"(p, q) = ({p}, {q}) is not a valid Brauer state")
+    return q <= Fraction(1, 2) and p <= Fraction(1, d)
+
+
+def _outcome(f, *args):
+    """f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _region_inputs(count=600, seed=11):
+    """Seeded (p, q) in [-1/4, 5/4]^2, each as a Fraction, its string or, when integral, an int."""
+    rng = random.Random(seed)
+    points = [(p, q) for p in (-1, 0, 1, 2) for q in (-1, 0, 1, 2)]
+    for _ in range(count):
+        den = rng.randint(1, 36)
+        pair = (Fraction(rng.randint(-den // 4, 5 * den // 4), den) for _ in range(2))
+        points.append(tuple(rng.choice([x, str(x)] + [int(x)] * (x.denominator == 1))
+                            for x in pair))
+    return points
+
+
+REGION_INPUTS = _region_inputs()
+
+
 class TestBrauerRegion:
     def test_conversion_examples(self):
         # the maximally entangled projector state is pure W/d
@@ -558,6 +596,15 @@ class TestBrauerRegion:
     def test_separable_rejects_nonstate(self):
         with pytest.raises(ValueError):
             brauer_is_separable(Fraction(3, 4), Fraction(1, 2), 2)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_predicates_match_fraction_reference(self, d):
+        # int, Fraction and string inputs, on and off the state triangle
+        for p, q in REGION_INPUTS:
+            got = _outcome(brauer_is_separable, p, q, d)
+            assert got == _outcome(_separable_by_fractions, p, q, d), (p, q)
+            assert brauer_is_ppt(p, q, d) == is_positive_brauer_prime(
+                *reversed(brauer_proj_to_wfi(p, q, d)), d), (p, q)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_ppt_equals_separable_on_grid(self, d):

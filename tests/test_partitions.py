@@ -24,6 +24,7 @@ from monogamy.partitions import (
     partitions_of,
     shifted_schur_11,
     sym_dim,
+    twice_brauer_jm_eigenvalue,
 )
 from monogamy.extendibility import p_w_complete
 
@@ -46,6 +47,14 @@ class TestBasics:
     def test_check_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             check_partition((2, -1))
+
+    @pytest.mark.parametrize("bad", [(1, 2), (2, -1), (0, 1), (3, 0, 1)])
+    def test_public_label_functions_reject_non_partitions(self, bad):
+        for f in (content, odd_row_count, check_partition):
+            with pytest.raises(ValueError, match="partition parts must be"):
+                f(bad)
+        with pytest.raises(ValueError, match="partition parts must be"):
+            twice_brauer_jm_eigenvalue(bad, 4, 3)
 
     def test_conjugate_examples(self):
         assert conjugate((3, 1)) == (2, 1, 1)
@@ -121,6 +130,15 @@ class TestEnumeration:
         assert enumerate_sym_irreps(2, 2) == [(2,), (1, 1)]
         assert enumerate_sym_irreps(3, 2) == [(3,), (2, 1)]
         assert len(enumerate_sym_irreps(5, 3)) == 5
+
+    @pytest.mark.parametrize("enumerate_irreps", [enumerate_sym_irreps, enumerate_brauer_irreps])
+    @pytest.mark.parametrize("n,d", [(6, 3), (4, 6)])
+    def test_each_call_returns_a_fresh_list(self, enumerate_irreps, n, d):
+        first = enumerate_irreps(n, d)
+        want = list(first)
+        first[0] = (99,)
+        first.append((1,))
+        assert enumerate_irreps(n, d) == want
 
     def test_brauer_irreps(self):
         assert enumerate_brauer_irreps(2, 2) == [(), (2,), (1, 1)]
