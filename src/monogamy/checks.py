@@ -74,14 +74,17 @@ def check_dual_solvers_exact(cap: int) -> tuple[str, bool, str]:
 
 def check_oracle_closed_forms(cap: int) -> tuple[str, bool, str]:
     bad = []
+    worst = 0.0
     pairs = grid_pairs(cap)
     for n, d in pairs:
         g = make_family("complete", n)
-        if abs(ext.p_avg_numeric(g, "werner", d, cap) - float(ext.p_w_complete(n, d))) > ORACLE_TOL:
-            bad.append(("werner", n, d))
-        if abs(ext.p_avg_numeric(g, "brauer", d, cap) - float(ext.p_b_complete(n, d))) > ORACLE_TOL:
-            bad.append(("brauer", n, d))
-    return verdict("oracle-closed-forms", bad, f"{len(pairs)} (n,d) grid points, tol {ORACLE_TOL}")
+        for which, closed_form in (("werner", ext.p_w_complete), ("brauer", ext.p_b_complete)):
+            error = abs(ext.p_avg_numeric(g, which, d, cap) - float(closed_form(n, d)))
+            worst = max(worst, error)
+            if error > ORACLE_TOL:
+                bad.append((which, n, d))
+    summary = f"{len(pairs)} (n,d) grid points, worst error {worst:.1e}, tol {ORACLE_TOL}"
+    return verdict("oracle-closed-forms", bad, summary)
 
 
 def check_brauer_composition(cap: int) -> tuple[str, bool, str]:
@@ -221,7 +224,9 @@ def check_bipartite(cap: int) -> tuple[str, bool, str]:
     got = [ext.p_avg_numeric(g, "brauer", d, cap) for _, d in within_budget([(5, 2)], cap)]
     want = float(ext.p_iso_bipartite(2, 3, 2))
     bad = [v for v in got if abs(v - want) > ORACLE_TOL]
-    return verdict("bipartite-value", bad, f"K_(2,3) numeric {got} vs closed form {want}")
+    worst = max((abs(v - want) for v in got), default=0.0)
+    summary = f"K_(2,3) numeric {got} vs closed form {want}, worst error {worst:.1e}, tol {ORACLE_TOL}"
+    return verdict("bipartite-value", bad, summary)
 
 
 def check_asymptotics(cap: int) -> tuple[str, bool, str]:

@@ -17,14 +17,12 @@ import math
 import sys
 from fractions import Fraction
 
-from scipy.sparse.linalg import ArpackNoConvergence
-
 from . import checks
 from . import extendibility as ext
 from .budget import ENV_VAR, BudgetExceededError, check_budget, current_budget
 from .diagrams import jm_sum_brauer, jm_sum_sym, projectors
 from .graphs import edge_average_hamiltonian, graph_from_json, iter_perfect_matchings, make_family
-from .spectral import lambda_max, sym_eigen
+from .spectral import NoConvergenceError, lambda_max, sym_eigen
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -353,7 +351,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ArpackNoConvergence as exc:
+    except NoConvergenceError as exc:
         print(f"error: numeric eigensolver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .diagrams import SiteOperator
@@ -130,31 +131,83 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     )
 
 
-def _eigsh_top(op: scipy.sparse.linalg.LinearOperator, vectors: bool):
-    """eigsh for the largest eigenvalue, with or without its Ritz vector.
+class NoConvergenceError(RuntimeError):
+    """The top Ritz pair did not converge within MAX_RESTARTS restarts."""
 
-    Lanczos starts from a fixed random vector, not all-ones: the all-ones
-    vector lies in the symmetric sector, which an antisymmetric Hamiltonian
-    sends to zero.
-    """
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
-    return scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=vectors)
+
+# Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602, 2000).
+# BASIS_VECTORS is ARPACK's default ncv, so a solve holds as many vectors of
+# length d^n as ARPACK did; a restart briefly holds KEPT_RITZ_VECTORS more.
+BASIS_VECTORS = 20
+KEPT_RITZ_VECTORS = 10
+MAX_RESTARTS = 1000
+RESIDUAL_TOL = 1e-13
 
 
 def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric operator and a unit eigenvector, by Lanczos.
 
     The value is the Ritz value, so it is the Rayleigh quotient of the
-    returned vector.
+    returned vector. The basis starts from a fixed random vector, not
+    all-ones: the all-ones vector lies in the symmetric sector, which an
+    antisymmetric Hamiltonian sends to zero. Each product is orthogonalized
+    twice against the whole basis (classical Gram-Schmidt), and its
+    projections fill a row and a column of T = Q^T H Q. After each product
+    the solve stops when the residual norm beta |s_last| of the top Ritz
+    pair (theta, s) is at most RESIDUAL_TOL times the largest |theta| (at
+    least 1), on an exact invariant subspace (beta = 0), or when the basis
+    spans the whole space. An edge sum on K_n has only a few distinct
+    eigenvalues, so its Krylov space turns invariant after a few products.
+    When the basis is full, the top KEPT_RITZ_VECTORS Ritz vectors and the
+    residual direction become the new basis; the new vector's projections
+    give T the coupling row beta s_last of the kept pairs. Raises
+    NoConvergenceError after MAX_RESTARTS restarts.
     """
-    w, vecs = _eigsh_top(op, vectors=True)
-    vec = vecs[:, 0]
-    return float(w[0]), vec / np.linalg.norm(vec)
+    dim = op.shape[0]
+    size = min(BASIS_VECTORS, dim)
+    basis = np.empty((size, dim))
+    t = np.zeros((size, size))
+    q = np.random.default_rng(0).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    k = 0  # basis vectors held before q
+    restarts = 0
+    while True:
+        basis[k] = q
+        w = op.matvec(q)
+        held = basis[:k + 1]
+        h = held @ w
+        w -= h @ held
+        again = held @ w
+        w -= again @ held
+        h += again
+        t[k, :k + 1] = h
+        t[:k + 1, k] = h
+        k += 1
+        beta = np.linalg.norm(w)
+        theta, s = scipy.linalg.eigh(t[:k, :k])
+        residual = beta * abs(s[-1, -1])
+        scale = max(abs(theta[0]), abs(theta[-1]), 1.0)
+        if residual <= RESIDUAL_TOL * scale or beta == 0 or k == dim:
+            break
+        if k == size:
+            if restarts == MAX_RESTARTS:
+                raise NoConvergenceError(
+                    f"top Ritz residual {residual:.3g} after {restarts} restarts of "
+                    f"{size} basis vectors"
+                )
+            restarts += 1
+            k = KEPT_RITZ_VECTORS
+            basis[:k] = s[:, -k:].T @ basis
+            t[:] = 0.0
+            t[:k, :k] = np.diag(theta[-k:])
+        q = w / beta
+    vec = s[:, -1] @ basis[:k]
+    return float(theta[-1]), vec / np.linalg.norm(vec)
 
 
 def lambda_max(op: scipy.sparse.linalg.LinearOperator) -> float:
-    """Largest eigenvalue of a symmetric operator: top_eigenpair's value, without the vector."""
-    return float(_eigsh_top(op, vectors=False)[0])
+    """Largest eigenvalue of a symmetric operator: top_eigenpair's value."""
+    return top_eigenpair(op)[0]
 
 
 def joint_spectrum(a: SiteOperator, b: SiteOperator) -> JointSpectrum:

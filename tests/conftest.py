@@ -2,7 +2,9 @@ import csv
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -11,6 +13,16 @@ DATA_DIR = Path(__file__).parent / "data"
 PENDANT_N = 18
 PENDANT_EDGES = [(u, v) for u in range(15) for v in range(u + 1, 15)]
 PENDANT_EDGES += [(14, 15), (14, 16), (14, 17)]
+
+
+def counting_operator(op, count):
+    """op as a LinearOperator that adds each of its matvecs to count[0]."""
+
+    def matvec(x):
+        count[0] += 1
+        return op.matvec(x)
+
+    return scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec, dtype=np.float64)
 
 
 def load_golden(name: str) -> dict[tuple[int, int], Fraction]:

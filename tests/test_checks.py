@@ -10,6 +10,8 @@ from monogamy import extendibility as ext
 from monogamy.diagrams import BrauerDiagram, compose, diagram_traces
 from monogamy.partitions import content
 
+from conftest import counting_operator
+
 CAP = 64
 FAIL_DETAIL = re.compile(r"mismatches: (.+) \((\d+) in all\)")
 isotropic_pair_state = ext.isotropic_pair_state
@@ -106,3 +108,28 @@ def test_verify_with_a_planted_defect_exits_1(capsys, monkeypatch):
     assert len(fails) == 1
     assert len([ln for ln in lines if ln.startswith("PASS ")]) == len(checks.CHECKS) - 1
     assert lines[-1] == "FAILED (1 failing checks)"
+
+
+@pytest.mark.parametrize(
+    "check", [checks.check_oracle_closed_forms, checks.check_bipartite],
+    ids=lambda check: check.__name__,
+)
+def test_numeric_pass_detail_shows_the_worst_error(check):
+    _, ok, detail = check(CAP)
+    match = re.search(r"worst error (\S+), tol (\S+)$", detail)
+    assert ok and match, detail
+    assert float(match.group(1)) <= float(match.group(2))
+
+
+def test_oracle_check_makes_the_same_matvecs_every_run(monkeypatch):
+    # the eigensolver draws only its seeded start vector, so the products a
+    # check makes do not depend on what ran before it in the process
+    counts = []
+    edge_sum = ext.edge_sum
+    monkeypatch.setattr(
+        ext, "edge_sum", lambda *args: counting_operator(edge_sum(*args), counts[-1])
+    )
+    for _ in range(2):
+        counts.append([0])
+        assert checks.check_oracle_closed_forms(4096)[1]
+    assert counts[0] == counts[1] != [0]

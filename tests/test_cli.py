@@ -7,9 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
-import scipy.sparse.linalg
 
-from monogamy import cli
+from monogamy import cli, spectral
 from monogamy.extendibility import p_w_complete
 
 from conftest import PENDANT_EDGES, PENDANT_N, load_golden
@@ -374,10 +373,11 @@ class TestDualScan:
         assert "budget must be at least 1, got -1" in err
 
     def test_eigensolver_non_convergence_exit_code(self, capsys, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        # H(-1) on 3 qubits has three distinct eigenvalues, so at the scan's
+        # first point a two-vector basis fills before the top pair converges
+        # and, with no restart allowed, the solver raises
+        monkeypatch.setattr(spectral, "BASIS_VECTORS", 2)
+        monkeypatch.setattr(spectral, "MAX_RESTARTS", 0)
         code, out, err = run_cli(capsys, "dual-scan", "--n", "3", "--d", "2")
         assert code == 4
         assert out == ""

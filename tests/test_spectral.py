@@ -1,8 +1,10 @@
-"""Numeric spectral layer: clustering, eigen multisets, joint spectra."""
+"""Numeric spectral layer: clustering, eigen multisets, joint spectra, Lanczos."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from monogamy import spectral
 from monogamy.diagrams import (
     SiteOperator,
     jm_sum_brauer,
@@ -21,6 +23,8 @@ from monogamy.spectral import (
     sym_eigen,
     top_eigenpair,
 )
+
+from conftest import counting_operator
 
 
 class TestCluster:
@@ -204,3 +208,67 @@ class TestTopEigenpair:
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12)
         assert lambda_max(op) == value
+
+
+def _random_symmetric(dim, seed):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    return (a + a.T) / 2
+
+
+def _with_spectrum(values, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(values), len(values))))
+    return (q * values) @ q.T
+
+
+class TestLanczos:
+    def _check_against_dense(self, dense):
+        count = [0]
+        op = counting_operator(scipy.sparse.linalg.aslinearoperator(dense), count)
+        exact = np.linalg.eigvalsh(dense)
+        scale = max(abs(exact[0]), abs(exact[-1]), 1.0)
+        value, vec = top_eigenpair(op)
+        matvecs = count[0]
+        assert abs(value - exact[-1]) <= 1e-12 * scale
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert abs(vec @ dense @ vec - value) <= 1e-12 * scale
+        assert lambda_max(op) == value
+        return matvecs
+
+    @pytest.mark.parametrize("dim", [1, 2, 19, 20, 21, 200])
+    def test_random_dense(self, dim):
+        matvecs = self._check_against_dense(_random_symmetric(dim, seed=dim))
+        if dim <= spectral.BASIS_VECTORS:
+            assert matvecs <= dim  # the basis spans the whole space by then
+        if dim == 200:
+            # the top pair needs more products than one basis holds
+            assert matvecs > spectral.BASIS_VECTORS
+
+    def test_degenerate_top_eigenvalue(self):
+        self._check_against_dense(_with_spectrum([5.0] * 4 + list(range(46)), seed=1))
+
+    def test_all_negative_spectrum_gives_largest_algebraic_value(self):
+        values = -1.0 - np.arange(60.0)
+        dense = _with_spectrum(values, seed=2)
+        self._check_against_dense(dense)
+        assert lambda_max(scipy.sparse.linalg.aslinearoperator(dense)) == pytest.approx(-1.0)
+
+    def test_zero_operator(self):
+        assert self._check_against_dense(np.zeros((30, 30))) == 1
+
+    def test_complete_graph_breaks_down_early(self):
+        # the transposition sum over K_12 on qubits has seven distinct
+        # eigenvalues, so its Krylov space turns invariant after a few products
+        _, _, f = float_pair_operators(2)
+        count = [0]
+        op = counting_operator(edge_sum(12, 2, make_family("complete", 12).edges, f), count)
+        value, vec = top_eigenpair(op)
+        assert count[0] <= 12
+        assert value == pytest.approx(66.0, abs=1e-12 * 66)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12 * 66)
+        assert lambda_max(op) == value
+
+    def test_restart_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_RESTARTS", 2)
+        with pytest.raises(spectral.NoConvergenceError, match="after 2 restarts of 20"):
+            lambda_max(scipy.sparse.linalg.aslinearoperator(_random_symmetric(200, seed=200)))
