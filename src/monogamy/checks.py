@@ -5,11 +5,11 @@ dense-matrix cap, lists what disagrees and returns through `verdict`, the
 one place that judges a check (it passes iff that list is empty) and words
 its (name, passed, detail) result. A check that builds d^n-sized data runs
 only the (n, d) points of its grid that `budget.within_budget` allows, so
-no cap makes it raise, and its detail says how many points ran; the three
-that build no d^n data (dual solvers, PPT region, asymptotics) ignore the
-cap. `run_all` resolves the cap once and runs every check. The CLI
-`verify` subcommand prints the results and exits nonzero on any failure;
-the acceptance tests call the same checks.
+no cap makes it raise, and its detail says how many points ran; the four
+that build no d^n data (dual solvers, primal certificates, PPT region,
+asymptotics) ignore the cap. `run_all` resolves the cap once and runs
+every check. The CLI `verify` subcommand prints the results and exits
+nonzero on any failure; the acceptance tests call the same checks.
 """
 
 from __future__ import annotations
@@ -146,12 +146,12 @@ def check_joint_spectrum_easy_pairs(cap: int) -> tuple[str, bool, str]:
 
 
 def check_primal_certificates(cap: int) -> tuple[str, bool, str]:
-    bad = []
-    # d up to 64, the largest d at n = 2 under the default cap
-    points = within_budget(((n, d) for n in range(2, 7) for d in range(2, 65)), cap)
-    for n, d in points:
-        if ext.werner_primal_value(n, d, cap) != ext.p_w_complete(n, d):
-            bad.append((n, d))
+    # every 2 <= n <= 8, 2 <= d <= 9, and d up to 64 at n <= 6 where d^n <= 4096
+    points = sorted(
+        {(n, d) for n in range(2, 9) for d in range(2, 10)}
+        | {(n, d) for n in range(2, 7) for d in range(2, 65) if d ** n <= 4096}
+    )
+    bad = [(n, d) for n, d in points if ext.werner_primal_value(n, d) != ext.p_w_complete(n, d)]
     summary = f"{len(points)} certificates, exact rational equality"
     return verdict("werner-primal-certificates", bad, summary)
 

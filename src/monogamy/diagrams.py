@@ -379,43 +379,6 @@ def _expand_entries(values: np.ndarray, sums: np.ndarray, n: int, d: int) -> Sit
     return op
 
 
-def diagram_traces(terms, diags, n: int, d: int) -> list[int]:
-    """Tr[psi(D) S] for each D in diags, S the sum of coeff * psi(diag) over terms.
-
-    S is reduced once, by _canonical_entries, and its traces are read off
-    by _entry_traces without expanding it. Raises ValueError as
-    diagram_sum does.
-    """
-    diags = list(diags)
-    for diag in diags:
-        if diag.n != n:
-            raise ValueError(f"diagram on {diag.n} strands in a trace on n={n}")
-    return _entry_traces(*_canonical_entries(terms, n, d), diags, n, d)
-
-
-def _entry_traces(values: np.ndarray, sums: np.ndarray, diags, n: int, d: int) -> list[int]:
-    """Tr[psi(D) S] for each D in diags, S given by its canonical entries (values, sums).
-
-    Tr[psi(D) S] sums S[c, r] over the (r, c) where psi(D) is 1, so D's out
-    endpoint i meets S's column digit i and D's in endpoint i meets S's row
-    digit i. Whether connected endpoints of D carry equal values is unchanged
-    when a permutation of [d] relabels them, so the trace is the sum, over
-    the nonzero canonical entries of S that meet D's condition, of the entry
-    times its orbit size d!/(d-k)!, k the number of values it uses. The
-    products are Python ints, which do not wrap.
-    """
-    used = values.max(axis=1, initial=0) + 1
-    weighted = [s * math.perm(d, k) for s, k in zip(sums.tolist(), used.tolist())]
-    traces = []
-    for diag in diags:
-        # D's endpoint e sits at digit (e + n) mod 2n of S's key
-        meets = np.ones(len(sums), dtype=bool)
-        for a, b in diag.pairs:
-            meets &= values[:, (a + n) % (2 * n)] == values[:, (b + n) % (2 * n)]
-        traces.append(sum(itertools.compress(weighted, meets.tolist())))
-    return traces
-
-
 def matrix_rep(diag: BrauerDiagram, d: int) -> SiteOperator:
     """The 0/1 matrix psi(diag) of one diagram."""
     return diagram_sum([(1, diag)], diag.n, d)

@@ -19,17 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, current_budget
 from .diagrams import (
     BrauerDiagram,
     SiteOperator,
-    _canonical_entries,
-    _entry_traces,
-    _expand_entries,
     basis_digits,
-    character_terms,
+    character_sum,
     diagram_sum,
-    diagram_traces,
     pair_operators,
 )
 from .graphs import Graph, make_family, perfect_matchings
@@ -38,11 +34,14 @@ from .partitions import (
     _content,
     _is_brauer_label,
     _odd_row_count,
+    _partitions,
     _twice_brauer_jm_eigenvalue,
     brauer_jm_eigenvalue,
     check_partition,
+    class_size,
     content,
     enumerate_sym_irreps,
+    mn_character,
     optimal_rectangular_partition,
 )
 from .spectral import edge_sum, float_pair_operators, lambda_max, top_eigenpair
@@ -469,12 +468,29 @@ def trace_product(a: SiteOperator, b: SiteOperator) -> Fraction:
     return Fraction(sum(map(operator.mul, a.data.values(), b_transposed)))
 
 
-def _primal_terms(n: int, d: int, budget: int | None) -> tuple:
-    """After the checks: the terms of the rectangular character sum A, and the diagrams I, F_01."""
-    _check_nd(n, d)
-    check_budget(n, d, budget)
-    terms = character_terms(optimal_rectangular_partition(n, d), n, d)
-    return terms, [BrauerDiagram.identity(n), BrauerDiagram.transposition(n, 0, 1)]
+def _certificate_traces(n: int, d: int) -> tuple[int, int]:
+    """T = Tr A and Tr[F_01 A] of the rectangular character sum A, as class sums.
+
+    A = sum over pi of chi_lam(pi) psi(pi), lam the rectangular partition,
+    and Tr psi(pi) = d^l(pi), l(pi) the number of cycles of pi. F_01 pi has
+    one cycle more than pi when 0 and 1 share a cycle of pi, and one fewer
+    otherwise; of the |rho| permutations of cycle type rho,
+    |rho| s_rho / (n(n - 1)) put 0 and 1 in one cycle, s_rho the sum of
+    rho_i (rho_i - 1). So both traces are sums of p(n) Python ints, and
+    no d^n data is built.
+    """
+    lam = optimal_rectangular_partition(n, d)
+    pairs = n * (n - 1)
+    t = flips = 0
+    for rho in _partitions(n):
+        chi = mn_character(lam, rho)
+        if chi:
+            size = class_size(rho)
+            shared = size * sum(r * (r - 1) for r in rho) // pairs
+            cycles = len(rho)
+            t += chi * size * d ** cycles
+            flips += chi * (shared * d ** (cycles + 1) + (size - shared) * d ** (cycles - 1))
+    return t, flips
 
 
 def werner_primal_value(n: int, d: int, budget: int | None = None) -> Fraction:
@@ -482,11 +498,13 @@ def werner_primal_value(n: int, d: int, budget: int | None = None) -> Fraction:
 
     The certificate is A/T, A the integer rectangular character sum and T
     its trace, so Tr[P_11 rho_01] = (1 - Tr[F_01 rho]) / 2 = (T - Tr[F_01 A]) / 2T.
-    Both traces are read off A's canonical entries by diagram_traces, so
-    neither A nor the state is built.
+    Both traces are class sums of _certificate_traces, so neither A nor the
+    state is built, and no d^n is compared against the cap; budget is still
+    resolved by current_budget, so a cap below 1 is a ValueError.
     """
-    terms, diags = _primal_terms(n, d, budget)
-    t, flips = diagram_traces(terms, diags, n, d)
+    _check_nd(n, d)
+    current_budget(budget)
+    t, flips = _certificate_traces(n, d)
     return Fraction(t - flips, 2 * t)
 
 
@@ -497,14 +515,14 @@ def werner_primal_certificate(
 
     Returns (state, achieved) where achieved is the exact antisymmetric
     weight of the (0,1) edge marginal, werner_primal_value(n, d); full
-    permutation symmetry makes all edge marginals equal. A is reduced to
-    its canonical entries once: T, Tr[F_01 A] and the expanded A all come
-    from them.
+    permutation symmetry makes all edge marginals equal. The state is A/T,
+    A expanded by diagram_sum and T from the class sums.
     """
-    terms, diags = _primal_terms(n, d, budget)
-    values, sums = _canonical_entries(terms, n, d)
-    t, flips = _entry_traces(values, sums, diags, n, d)
-    return _expand_entries(values, sums, n, d) * Fraction(1, t), Fraction(t - flips, 2 * t)
+    _check_nd(n, d)
+    check_budget(n, d, budget)
+    t, flips = _certificate_traces(n, d)
+    a = character_sum(optimal_rectangular_partition(n, d), n, d)
+    return a * Fraction(1, t), Fraction(t - flips, 2 * t)
 
 
 def matching_lower_bound_state(n: int, d: int, budget: int | None = None) -> SiteOperator:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 from .diagrams import SiteOperator
@@ -137,11 +136,13 @@ class NoConvergenceError(RuntimeError):
 
 # Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602, 2000).
 # BASIS_VECTORS is ARPACK's default ncv, so a solve holds as many vectors of
-# length d^n as ARPACK did; a restart briefly holds KEPT_RITZ_VECTORS more.
+# length d^n as ARPACK did; a restart rotates the kept Ritz vectors into the
+# basis ROTATION_COLUMNS columns at a time, so it adds no vector of length d^n.
 BASIS_VECTORS = 20
 KEPT_RITZ_VECTORS = 10
 MAX_RESTARTS = 1000
 RESIDUAL_TOL = 1e-13
+ROTATION_COLUMNS = 1024
 
 
 def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.ndarray]:
@@ -158,8 +159,9 @@ def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.nda
     least 1), on an exact invariant subspace (beta = 0), or when the basis
     spans the whole space. An edge sum on K_n has only a few distinct
     eigenvalues, so its Krylov space turns invariant after a few products.
-    When the basis is full, the top KEPT_RITZ_VECTORS Ritz vectors and the
-    residual direction become the new basis; the new vector's projections
+    When the basis is full, the top KEPT_RITZ_VECTORS Ritz vectors, rotated
+    into the basis in blocks of ROTATION_COLUMNS columns, and the residual
+    direction become the new basis; the new vector's projections
     give T the coupling row beta s_last of the kept pairs. Raises
     NoConvergenceError after MAX_RESTARTS restarts.
     """
@@ -184,7 +186,7 @@ def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.nda
         t[:k + 1, k] = h
         k += 1
         beta = np.linalg.norm(w)
-        theta, s = scipy.linalg.eigh(t[:k, :k])
+        theta, s = np.linalg.eigh(t[:k, :k])
         residual = beta * abs(s[-1, -1])
         scale = max(abs(theta[0]), abs(theta[-1]), 1.0)
         if residual <= RESIDUAL_TOL * scale or beta == 0 or k == dim:
@@ -197,7 +199,11 @@ def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.nda
                 )
             restarts += 1
             k = KEPT_RITZ_VECTORS
-            basis[:k] = s[:, -k:].T @ basis
+            rotation = s[:, -k:].T
+            for start in range(0, dim, ROTATION_COLUMNS):
+                # a view of the basis; the product is k x ROTATION_COLUMNS floats
+                columns = basis[:, start:start + ROTATION_COLUMNS]
+                columns[:k] = rotation @ columns
             t[:] = 0.0
             t[:k, :k] = np.diag(theta[-k:])
         q = w / beta

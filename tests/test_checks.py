@@ -7,7 +7,7 @@ import pytest
 
 from monogamy import checks, cli
 from monogamy import extendibility as ext
-from monogamy.diagrams import BrauerDiagram, compose, diagram_traces
+from monogamy.diagrams import compose
 from monogamy.partitions import content
 
 from conftest import counting_operator
@@ -15,6 +15,7 @@ from conftest import counting_operator
 CAP = 64
 FAIL_DETAIL = re.compile(r"mismatches: (.+) \((\d+) in all\)")
 isotropic_pair_state = ext.isotropic_pair_state
+certificate_traces = ext._certificate_traces
 
 
 def _one_more_loop(a, b):
@@ -22,10 +23,10 @@ def _one_more_loop(a, b):
     return result, loops + 1
 
 
-def _one_more_flip_trace(terms, diags, n, d):
-    """diagram_traces with Tr[F_01 A] read one too high."""
-    flip = BrauerDiagram.transposition(n, 0, 1)
-    return [t + (diag == flip) for t, diag in zip(diagram_traces(terms, diags, n, d), diags)]
+def _one_more_flip_trace(n, d):
+    """The class sums with Tr[F_01 A] one too high."""
+    t, flips = certificate_traces(n, d)
+    return t, flips + 1
 
 
 # check -> (module, attribute, planted replacement), each breaking one side of that check
@@ -94,7 +95,7 @@ def test_planted_defect_fails_its_check(monkeypatch, check):
 
 def test_planted_certificate_defect_fails_the_primal_check(monkeypatch):
     # DEFECTS breaks the closed-form side of this check; this breaks the certificate side
-    monkeypatch.setattr(ext, "diagram_traces", _one_more_flip_trace)
+    monkeypatch.setattr(ext, "_certificate_traces", _one_more_flip_trace)
     assert_fails_with_mismatches(checks.check_primal_certificates)
 
 

@@ -17,7 +17,6 @@ from monogamy.diagrams import (
     character_sum,
     compose,
     diagram_sum,
-    diagram_traces,
     embed_sum,
     jm_sum_brauer,
     jm_sum_sym,
@@ -26,7 +25,6 @@ from monogamy.diagrams import (
     projectors,
     young_symmetrizer,
 )
-from monogamy.extendibility import trace_product
 from monogamy.partitions import (
     cycle_type,
     enumerate_sym_irreps,
@@ -295,44 +293,6 @@ class TestDiagramSumKernel:
         assert diagram_sum([(2 ** 62, ident)], 2, 2).trace() == 4 * 2 ** 62
         with pytest.raises(ValueError, match="2\\^63"):
             diagram_sum([(2 ** 62, ident), (2 ** 62, ident)], 2, 2)
-
-
-class TestDiagramTraces:
-    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 4) for d in range(2, 6)] + [(3, 7)])
-    def test_every_diagram_matches_the_trace_product(self, n, d):
-        # at (3, 7) all 2n endpoints of an entry can carry distinct values
-        rng = random.Random(10 * n + d)
-        pool = all_diagrams(n)
-        terms = [(rng.randint(-5, 5), rng.choice(pool)) for _ in range(8)]
-        if n >= 2:
-            terms.append((3, BrauerDiagram.bar(n, 0, n - 1)))
-        total = diagram_sum(terms, n, d)
-        got = diagram_traces(terms, pool, n, d)
-        assert got == [trace_product(matrix_rep(diag, d), total) for diag in pool]
-        assert all(type(t) is int for t in got)
-
-    def test_orbit_weighting_does_not_wrap(self):
-        n, d = 3, 7
-        terms = [(2 ** 62, BrauerDiagram.identity(n)), (2 ** 62 - 1, BrauerDiagram.bar(n, 0, 2))]
-        pool = all_diagrams(n)
-        total = diagram_sum(terms, n, d)
-        got = diagram_traces(terms, pool, n, d)
-        assert got == [trace_product(matrix_rep(diag, d), total) for diag in pool]
-        assert all(type(t) is int for t in got)
-        assert max(got) > 2 ** 63
-
-    def test_reads_canonical_entries_without_building_an_operator(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("diagram_traces built a SiteOperator")
-
-        terms = list(diagrams.character_terms((3, 3), 6, 4))
-        want = [character_sum((3, 3), 6, 4).trace()]
-        monkeypatch.setattr(SiteOperator, "__init__", refuse)
-        assert diagram_traces(terms, [BrauerDiagram.identity(6)], 6, 4) == want
-
-    def test_rejects_a_diagram_on_other_strands(self):
-        with pytest.raises(ValueError, match="2 strands in a trace on n=3"):
-            diagram_traces([(1, BrauerDiagram.identity(3))], [BrauerDiagram.identity(2)], 3, 2)
 
 
 class TestBasisDigits:

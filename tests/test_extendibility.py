@@ -13,10 +13,13 @@ from monogamy import extendibility
 from monogamy.budget import BudgetExceededError
 from monogamy.checks import SPEC_TOL
 from monogamy.diagrams import (
+    BrauerDiagram,
     SiteOperator,
+    character_sum,
     embed_sum,
     jm_sum_brauer,
     jm_sum_sym,
+    matrix_rep,
     pair_operators,
     projectors,
     young_symmetrizer,
@@ -413,6 +416,15 @@ class TestNumericOracle:
             p_avg_numeric(make_family("complete", 3), "ghz", 2)
 
 
+# the points the certificate tests build a state at, with the cap each needs
+CERTIFICATE_POINTS = [
+    (2, 2, None), (3, 2, None), (4, 2, None), (4, 3, None), (5, 2, None), (6, 2, None),
+    (7, 2, 128), (7, 3, 2187),
+]
+# the n <= 5 points of the primal check's grid within the default cap
+CLASS_SUM_POINTS = [(n, d) for n in range(2, 6) for d in range(2, 65) if d ** n <= 4096]
+
+
 class TestPrimalCertificates:
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (4, 3), (5, 2), (6, 2)])
     def test_achieves_closed_form(self, n, d):
@@ -445,19 +457,46 @@ class TestPrimalCertificates:
         _, p_11, _ = projectors(d)
         assert achieved == trace_product(p_11, reduced_state(state, (0, 1), n, d))
 
-    @pytest.mark.parametrize("n,d,budget", [
-        (2, 2, None), (3, 2, None), (4, 2, None), (4, 3, None), (5, 2, None), (6, 2, None),
-        (7, 2, 128), (7, 3, 2187),
-    ])
+    @pytest.mark.parametrize("n,d,budget", CERTIFICATE_POINTS)
     def test_value_equals_the_certificate_and_closed_form(self, n, d, budget):
         value = werner_primal_value(n, d, budget)
         assert type(value) is Fraction
         assert value == werner_primal_certificate(n, d, budget)[1] == p_w_complete(n, d)
 
+    @pytest.mark.parametrize("n,d,budget", CERTIFICATE_POINTS)
+    def test_achieved_equals_the_traces_of_the_expanded_sum(self, n, d, budget):
+        a = character_sum(optimal_rectangular_partition(n, d), n, d)
+        t = trace_product(matrix_rep(BrauerDiagram.identity(n), d), a)
+        flips = trace_product(matrix_rep(BrauerDiagram.transposition(n, 0, 1), d), a)
+        assert werner_primal_certificate(n, d, budget)[1] == (t - flips) / (2 * t)
+
+    @pytest.mark.parametrize("n,d", CLASS_SUM_POINTS)
+    def test_class_sums_match_the_trace_product(self, n, d):
+        a = character_sum(optimal_rectangular_partition(n, d), n, d)
+        diags = [BrauerDiagram.identity(n), BrauerDiagram.transposition(n, 0, 1)]
+        got = extendibility._certificate_traces(n, d)
+        assert list(got) == [trace_product(matrix_rep(diag, d), a) for diag in diags]
+        assert all(type(t) is int for t in got)
+
+    def test_value_equals_the_closed_form_on_the_full_table(self):
+        for n in range(2, 13):
+            for d in range(2, 10):
+                value = werner_primal_value(n, d)
+                assert type(value) is Fraction
+                assert value == p_w_complete(n, d), (n, d)
+
+    def test_value_builds_no_operator_and_ignores_the_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("werner_primal_value built a SiteOperator")
+
+        monkeypatch.setattr(SiteOperator, "__init__", refuse)
+        # d^n = 4^6 and 3^8 are far above a cap of 1
+        assert werner_primal_value(6, 4, budget=1) == p_w_complete(6, 4)
+        assert werner_primal_value(8, 3, budget=1) == p_w_complete(8, 3)
+
     def test_budget_enforced(self):
-        for primal in (werner_primal_certificate, werner_primal_value):
-            with pytest.raises(BudgetExceededError):
-                primal(8, 2, budget=100)
+        with pytest.raises(BudgetExceededError):
+            werner_primal_certificate(8, 2, budget=100)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected(self, budget):

@@ -1,5 +1,7 @@
 """Numeric spectral layer: clustering, eigen multisets, joint spectra, Lanczos."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -267,6 +269,29 @@ class TestLanczos:
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12 * 66)
         assert lambda_max(op) == value
+
+    def test_restart_rotates_in_ragged_column_blocks(self, monkeypatch):
+        # 200 columns in blocks of 7: 28 full blocks and one of 4
+        monkeypatch.setattr(spectral, "ROTATION_COLUMNS", 7)
+        assert self._check_against_dense(_random_symmetric(200, seed=200)) > spectral.BASIS_VECTORS
+
+    def test_restart_adds_no_vector_to_the_basis(self):
+        # C_14 on qubits takes more products than one basis holds; a restart that
+        # built its KEPT_RITZ_VECTORS rotated vectors beside the basis would hold
+        # BASIS_VECTORS + KEPT_RITZ_VECTORS vectors of d^n floats at once
+        dim = 2 ** 14
+        count = [0]
+        pair = projectors(2)[1].to_dense()
+        op = counting_operator(edge_sum(14, 2, make_family("cycle", 14).edges, pair), count)
+        tracemalloc.start()
+        try:
+            value, vec = top_eigenpair(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count[0] > spectral.BASIS_VECTORS
+        assert peak < (spectral.BASIS_VECTORS + spectral.KEPT_RITZ_VECTORS) * dim * 8
+        assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12 * value)
 
     def test_restart_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_RESTARTS", 2)
