@@ -35,19 +35,6 @@ Scalar = int | Fraction
 _BATCH_KEYS = 1 << 20
 
 
-def basis_digits(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digits of every basis index of (C^d)^(x)n, and the place value of each site.
-
-    Site 0 is the most significant digit: row x of the (d^n, n) digit array
-    holds the digits of index x in lexicographic order, so that
-    digits @ places == arange(d^n). At n = 0 there is one empty row.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    digits = np.indices((d,) * n, dtype=np.int64).reshape(n, d ** n).T
-    return digits, d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
 class SiteOperator:
     """Exact rational matrix on (C^d)^(x)n, stored sparsely; n = 2 is a pair operator."""
 
@@ -407,43 +394,33 @@ def projectors(d: int) -> tuple[SiteOperator, SiteOperator, SiteOperator]:
     return p_empty, p_11, p_2
 
 
-def embed_sum(op: SiteOperator, edges, n: int) -> SiteOperator:
-    """Sum over edges (u, v) of the two-qudit op on sites u, v, identity elsewhere.
+def pair_sum(edges, n: int, d: int, coeffs: tuple[int, int, int]) -> SiteOperator:
+    """Sum over edges (u, v) of a I + b F_uv + c W_uv, for integer coeffs = (a, b, c).
 
-    Every edge is added in place into one dict, so the sum is never copied.
+    It is the one integer diagram_sum of a * |edges| identity diagrams and,
+    per edge, b transposition and c bar diagrams; a zero coefficient adds no
+    term. Raises ValueError on an invalid site pair, and as diagram_sum does.
     """
-    if op.n != 2:
-        raise ValueError(f"need a two-qudit operator (n=2), got n={op.n}")
-    d = op.d
-    digits, place = basis_digits(n, d)
-    data: dict = {}
+    a, b, c = coeffs
+    edges = list(edges)
     for u, v in edges:
         if u == v or not (0 <= u < n) or not (0 <= v < n):
             raise ValueError(f"invalid site pair {(u, v)} for n={n}")
-        # the identity strands: every basis index whose digits at u and v are 0
-        offsets = np.flatnonzero(~digits[:, [u, v]].any(axis=1)).tolist()
-        pu, pv = place[[u, v]].tolist()
-        for (r2, c2), val in op.data.items():
-            ru, rv = divmod(r2, d)
-            cu, cv = divmod(c2, d)
-            base_r = ru * pu + rv * pv
-            base_c = cu * pu + cv * pv
-            for off in offsets:
-                key = (base_r + off, base_c + off)
-                data[key] = data.get(key, 0) + val
-    return SiteOperator(n, d, data)
+    terms = [(a * len(edges), BrauerDiagram.identity(n))] if a and edges else []
+    for coeff, diagram in ((b, BrauerDiagram.transposition), (c, BrauerDiagram.bar)):
+        if coeff:
+            terms += [(coeff, diagram(n, u, v)) for u, v in edges]
+    return diagram_sum(terms, n, d)
 
 
 def jm_sum_sym(n: int, d: int) -> SiteOperator:
     """Sum of flips F_{i,j} over all pairs i < j (total Jucys-Murphy element of S_n)."""
-    _, _, f = pair_operators(d)
-    return embed_sum(f, itertools.combinations(range(n), 2), n)
+    return pair_sum(itertools.combinations(range(n), 2), n, d, (0, 1, 0))
 
 
 def jm_sum_brauer(n: int, d: int) -> SiteOperator:
     """Sum of F_{i,j} - W_{i,j} over all pairs (total Jucys-Murphy element of Br_n^d)."""
-    w, _, f = pair_operators(d)
-    return embed_sum(f - w, itertools.combinations(range(n), 2), n)
+    return pair_sum(itertools.combinations(range(n), 2), n, d, (0, 1, -1))
 
 
 def character_terms(lam: Partition, n: int, d: int):

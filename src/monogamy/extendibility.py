@@ -23,7 +23,6 @@ from .budget import check_budget, current_budget
 from .diagrams import (
     BrauerDiagram,
     SiteOperator,
-    basis_digits,
     character_sum,
     diagram_sum,
     pair_operators,
@@ -448,8 +447,7 @@ def reduced_state(rho: SiteOperator, edge: tuple[int, int], n: int, d: int) -> S
         raise ValueError(f"invalid edge {edge} for n={n}")
     if rho.n != n or rho.d != d:
         raise ValueError("state shape mismatch")
-    _, place = basis_digits(n, d)
-    pu, pv = place[[u, v]].tolist()
+    pu, pv = d ** (n - 1 - u), d ** (n - 1 - v)
     data: dict = {}
     for (r, c), val in rho.data.items():
         ru, rv = (r // pu) % d, (r // pv) % d

@@ -1,13 +1,14 @@
-"""Graph families, edge embeddings, edge-averaged Hamiltonians, matchings."""
+"""Graph families, edge-averaged Hamiltonians, matchings."""
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import SiteOperator, embed_sum, pair_operators
+from .diagrams import SiteOperator, pair_sum
 
 FAMILY_TAGS = ("complete", "star", "cycle", "path", "complete_bipartite", "custom")
 
@@ -90,20 +91,26 @@ def graph_from_json(text: str) -> Graph:
     return Graph(obj["n"], tuple(tuple(sorted(e)) for e in edges), obj.get("family", "custom"))
 
 
-def is_flip_invariant(op: SiteOperator) -> bool:
-    if op.n != 2:
-        raise ValueError(f"need a two-qudit operator (n=2), got n={op.n}")
-    _, _, f = pair_operators(op.d)
-    return f @ op @ f == op
-
-
 def edge_average_hamiltonian(g: Graph, op: SiteOperator) -> SiteOperator:
-    """(1/|E|) sum over edges of the embedded operator, exact."""
+    """(1/|E|) sum over edges of the two-qudit op on the edge's sites, exact.
+
+    op must be a I + b F + c W with rational a, b, c, so that edge
+    orientation does not matter: a, b and c are its entries <01|op|01>,
+    <01|op|10> and <00|op|11>, and any other op raises ValueError. The sum
+    is one integer pair_sum, scaled once by 1/(lcm |E|), lcm the least common
+    denominator of a, b and c.
+    """
     if not g.edges:
         raise ValueError("graph has no edges")
-    if not is_flip_invariant(op):
-        raise ValueError("operator is not flip-invariant; edge orientation would matter")
-    return embed_sum(op, g.edges, g.vertex_count) * Fraction(1, g.edge_count)
+    if op.n != 2:
+        raise ValueError(f"need a two-qudit operator (n=2), got n={op.n}")
+    d = op.d
+    abc = [op.data.get(key, 0) for key in ((1, 1), (1, d), (0, d + 1))]
+    lcm = math.lcm(*(x.denominator for x in abc))
+    coeffs = tuple(int(x * lcm) for x in abc)
+    if pair_sum([(0, 1)], 2, d, coeffs) != op * lcm:
+        raise ValueError("operator is not a I + b F + c W on the pair")
+    return pair_sum(g.edges, g.vertex_count, d, coeffs) * Fraction(1, lcm * g.edge_count)
 
 
 Matching = tuple[tuple[int, int], ...]

@@ -13,7 +13,8 @@ a cache keyed by n alone; both irrep enumerations filter that tuple into
 a fresh list.  Every public function validates its partition arguments
 with check_partition.  The private label functions (_content,
 _odd_row_count, _twice_brauer_jm_eigenvalue, _is_brauer_label) skip that
-check, for labels the package enumerated itself.
+check, for labels the package enumerated itself, and so does the
+Murnaghan-Nakayama recursion _mn_character under mn_character.
 """
 
 from __future__ import annotations
@@ -207,14 +208,23 @@ def cycle_type(perm: tuple[int, ...]) -> CycleType:
 def mn_character(lam: Partition, ct: CycleType) -> int:
     """Character chi_lam(ct) by the Murnaghan-Nakayama rule.
 
-    Works on the beta-set of lam: removing a rim hook of length t is
-    replacing a beta number b by b - t, with sign given by the number of
-    beta numbers jumped over.
+    Both partitions are checked once, here; the recursion is _mn_character.
     """
     lam = check_partition(lam)
     ct = check_partition(ct)
     if size(lam) != size(ct):
         raise ValueError("partition and cycle type must have equal size")
+    return _mn_character(lam, ct)
+
+
+@lru_cache(maxsize=None)
+def _mn_character(lam: Partition, ct: CycleType) -> int:
+    """mn_character of valid partitions of equal size, unchecked.
+
+    Works on the beta-set of lam: removing a rim hook of length t is
+    replacing a beta number b by b - t, with sign given by the number of
+    beta numbers jumped over.
+    """
     if not ct:
         return 1
     t, rest = ct[0], ct[1:]
@@ -228,10 +238,10 @@ def mn_character(lam: Partition, ct: CycleType) -> int:
             continue
         jumped = sum(1 for c in beta if nb < c < b)
         new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        # strip the staircase back off to recover a partition
+        # strip the staircase back off to recover a partition, trimmed of zero parts
         m = len(new_beta)
-        new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
-        total += (-1) ** jumped * mn_character(check_partition(new_lam), rest)
+        new_lam = tuple(p for i in range(m) if (p := new_beta[i] - (m - 1 - i)))
+        total += (-1) ** jumped * _mn_character(new_lam, rest)
     return total
 
 

@@ -1,4 +1,6 @@
 import csv
+import functools
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,23 @@ DATA_DIR = Path(__file__).parent / "data"
 PENDANT_N = 18
 PENDANT_EDGES = [(u, v) for u in range(15) for v in range(u + 1, 15)]
 PENDANT_EDGES += [(14, 15), (14, 16), (14, 17)]
+
+
+def reference_diagram_sum(terms, n, d):
+    """coeff * psi(diag) summed entry by entry from the definition of psi, in a plain dict.
+
+    Giving every pair of diag one value in [d] sets one entry of psi(diag) to 1.
+    """
+    data = {}
+    for coeff, diag in terms:
+        for pair_values in itertools.product(range(d), repeat=n):
+            ends = [0] * (2 * n)
+            for (a, b), v in zip(diag.pairs, pair_values):
+                ends[a] = ends[b] = v
+            key = tuple(functools.reduce(lambda acc, v: acc * d + v, half, 0)
+                        for half in (ends[:n], ends[n:]))
+            data[key] = data.get(key, 0) + coeff
+    return {k: v for k, v in data.items() if v}
 
 
 def counting_operator(op, count):

@@ -195,12 +195,12 @@ class TestSpectrum:
         assert out == ""
         assert err.startswith("error:") and "--n or --graph, not both" in err
 
-    @pytest.mark.parametrize("what,n", [("jm-sym", "-1"), ("jm-brauer", "-2")])
+    @pytest.mark.parametrize("what,n", [("jm-sym", "-1"), ("jm-brauer", "-2"), ("jm-sym", "0")])
     def test_negative_n_is_usage_error(self, capsys, what, n):
         code, out, err = run_cli(capsys, "spectrum", "--what", what, "--n", n, "--d", "2")
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "n >= 0" in err
+        assert err.startswith("error:") and "n >= 1" in err
 
 
 class TestMatchings:

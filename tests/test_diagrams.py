@@ -1,6 +1,5 @@
 """Brauer diagrams, composition, matrix realization, projectors, JM sums."""
 
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,15 +12,14 @@ from monogamy.diagrams import (
     BrauerDiagram,
     SiteOperator,
     all_diagrams,
-    basis_digits,
     character_sum,
     compose,
     diagram_sum,
-    embed_sum,
     jm_sum_brauer,
     jm_sum_sym,
     matrix_rep,
     pair_operators,
+    pair_sum,
     projectors,
     young_symmetrizer,
 )
@@ -33,6 +31,8 @@ from monogamy.partitions import (
     partitions_of,
     sym_dim,
 )
+
+from conftest import reference_diagram_sum
 
 
 class TestSiteOperator:
@@ -191,23 +191,6 @@ class TestMatrixRep:
             diagram_sum([(1, BrauerDiagram.identity(2))], 3, 2)
 
 
-def reference_diagram_sum(terms, n, d):
-    """coeff * psi(diag) summed entry by entry from the definition of psi, in a plain dict.
-
-    Giving every pair of diag one value in [d] sets one entry of psi(diag) to 1.
-    """
-    data = {}
-    for coeff, diag in terms:
-        for pair_values in itertools.product(range(d), repeat=n):
-            ends = [0] * (2 * n)
-            for (a, b), v in zip(diag.pairs, pair_values):
-                ends[a] = ends[b] = v
-            key = tuple(functools.reduce(lambda acc, v: acc * d + v, half, 0)
-                        for half in (ends[:n], ends[n:]))
-            data[key] = data.get(key, 0) + coeff
-    return {k: v for k, v in data.items() if v}
-
-
 def first_appearance(values):
     """values relabelled 0, 1, 2, ... in the order in which they first appear."""
     first = {}
@@ -295,20 +278,6 @@ class TestDiagramSumKernel:
             diagram_sum([(2 ** 62, ident), (2 ** 62, ident)], 2, 2)
 
 
-class TestBasisDigits:
-    @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (2, 3), (3, 4)])
-    def test_lexicographic_site_zero_most_significant(self, n, d):
-        digits, place = basis_digits(n, d)
-        assert digits.tolist() == [list(x) for x in itertools.product(range(d), repeat=n)]
-        assert place.tolist() == [d ** (n - 1 - i) for i in range(n)]
-        assert (digits @ place).tolist() == list(range(d ** n))
-
-    def test_no_sites_is_one_empty_row(self):
-        digits, place = basis_digits(0, 3)
-        assert digits.shape == (1, 0) and place.shape == (0,)
-        assert (digits @ place).tolist() == [0]
-
-
 class TestPairOperators:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_entries_match_explicit_sums(self, d):
@@ -366,28 +335,52 @@ class TestProjectors:
 
 
 class TestEmbed:
+    """pair_sum: a I + b F + c W on every edge, as one integer diagram sum."""
+
     def test_embed_two_sites_is_itself(self):
-        _, _, f = pair_operators(2)
-        assert embed_sum(f, [(0, 1)], 2) == f
+        w, ident, f = pair_operators(2)
+        assert pair_sum([(0, 1)], 2, 2, (0, 1, 0)) == f
+        assert pair_sum([(0, 1)], 2, 2, (0, 1, -1)) == f - w
+        assert pair_sum([(0, 1)], 2, 2, (3, -2, 5)) == 3 * ident - 2 * f + 5 * w
 
     def test_embed_trace(self):
-        p_empty, _, _ = projectors(3)
-        assert embed_sum(p_empty, [(0, 2)], 3).trace() == 3
+        # Tr W = d on the edge, times d for the one other site
+        assert pair_sum([(0, 2)], 3, 3, (0, 0, 1)).trace() == 9
 
     def test_embed_flip_far_sites(self):
-        _, _, f = pair_operators(2)
         swap02 = BrauerDiagram.transposition(3, 0, 2)
-        assert embed_sum(f, [(0, 2)], 3) == matrix_rep(swap02, 2)
+        assert pair_sum([(0, 2)], 3, 2, (0, 1, 0)) == matrix_rep(swap02, 2)
 
     def test_embed_rejects_bad_sites(self):
-        _, _, f = pair_operators(2)
-        with pytest.raises(ValueError):
-            embed_sum(f, [(0, 3)], 3)
+        for edge in [(0, 3), (1, 1), (-1, 2)]:
+            with pytest.raises(ValueError, match="invalid site pair"):
+                pair_sum([(0, 1), edge], 3, 2, (0, 1, 0))
 
-    def test_embed_rejects_non_pair_operator(self):
-        # a three-site operator used to be embedded as if it were a pair
-        with pytest.raises(ValueError, match="two-qudit"):
-            embed_sum(SiteOperator.identity(3, 2), [(0, 1)], 3)
+    @pytest.mark.parametrize("coeffs", [(0, 1, 0), (0, 1, -1), (2, -1, 3), (1, 0, 0)])
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 3)])
+    def test_embed_matches_the_definition(self, n, d, coeffs):
+        a, b, c = coeffs
+        edges = [(0, n - 1), (1, 0)] + [(u, u + 1) for u in range(n - 1)]
+        terms = [(a, BrauerDiagram.identity(n))] * len(edges)
+        terms += [(b, BrauerDiagram.transposition(n, u, v)) for u, v in edges]
+        terms += [(c, BrauerDiagram.bar(n, u, v)) for u, v in edges]
+        got = pair_sum(edges, n, d, coeffs)
+        assert got.data == reference_diagram_sum(terms, n, d)
+        assert all(type(v) is int for v in got.data.values())
+
+    def test_zero_coefficients_add_no_terms(self, monkeypatch):
+        seen = []
+        diagram_sum = diagrams.diagram_sum
+
+        def recording_sum(terms, n, d):
+            seen.append(list(terms))
+            return diagram_sum(seen[-1], n, d)
+
+        monkeypatch.setattr(diagrams, "diagram_sum", recording_sum)
+        pair_sum([(0, 1), (1, 2)], 3, 2, (0, 1, 0))
+        pair_sum([], 3, 2, (1, 1, 1))
+        assert seen == [[(1, BrauerDiagram.transposition(3, 0, 1)),
+                         (1, BrauerDiagram.transposition(3, 1, 2))], []]
 
 
 class TestJucysMurphy:

@@ -16,7 +16,6 @@ from monogamy.diagrams import (
     BrauerDiagram,
     SiteOperator,
     character_sum,
-    embed_sum,
     jm_sum_brauer,
     jm_sum_sym,
     matrix_rep,
@@ -69,6 +68,8 @@ from monogamy.partitions import (
     optimal_rectangular_partition,
 )
 from monogamy.spectral import edge_sum, float_pair_operators, joint_spectrum, top_eigenpair
+
+from conftest import reference_diagram_sum
 
 
 class TestClosedFormsAgainstGoldenTables:
@@ -520,12 +521,12 @@ class TestMatchingStates:
         edges = make_family("complete", n).edges
         states = [m for m in itertools.combinations(edges, n // 2)
                   if len({v for e in m for v in e}) == 2 * (n // 2)]
-        w, _, _ = pair_operators(d)
         total = SiteOperator.zero(n, d)
         for m in states:
             prod = SiteOperator.identity(n, d) * Fraction(1, d ** (n % 2))
-            for e in m:
-                prod = prod @ embed_sum(w * Fraction(1, d), [e], n)
+            for u, v in m:
+                w_uv = reference_diagram_sum([(1, BrauerDiagram.bar(n, u, v))], n, d)
+                prod = prod @ (SiteOperator(n, d, w_uv) * Fraction(1, d))
             total = total + prod
         assert matching_lower_bound_state(n, d) == total * Fraction(1, len(states))
 

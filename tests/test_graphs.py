@@ -1,4 +1,4 @@
-"""Graph families, embeddings, edge-averaged Hamiltonians, matchings."""
+"""Graph families, edge-averaged Hamiltonians, matchings."""
 
 import itertools
 import random
@@ -10,9 +10,9 @@ import pytest
 from monogamy.diagrams import (
     BrauerDiagram,
     SiteOperator,
-    embed_sum,
     matrix_rep,
     pair_operators,
+    pair_sum,
     projectors,
 )
 from monogamy.graphs import (
@@ -25,7 +25,7 @@ from monogamy.graphs import (
     perfect_matchings,
 )
 
-from conftest import PENDANT_EDGES, PENDANT_N
+from conftest import PENDANT_EDGES, PENDANT_N, reference_diagram_sum
 
 
 def double_factorial(k: int) -> int:
@@ -113,22 +113,21 @@ class TestJson:
 class TestEmbedding:
     def test_single_edge_identity(self):
         _, _, f = pair_operators(2)
-        assert embed_sum(f, [(0, 1)], 2) == f
+        assert edge_average_hamiltonian(Graph(2, ((0, 1),)), f) == f
 
     def test_trace_multiplicative(self):
         p_empty, _, _ = projectors(2)
-        assert embed_sum(p_empty, [(1, 3)], 4).trace() == 4
+        assert edge_average_hamiltonian(Graph(4, ((1, 3),)), p_empty).trace() == 4
 
     def test_matches_transposition_diagram(self):
         _, _, f = pair_operators(2)
-        assert embed_sum(f, [(0, 2)], 3) == matrix_rep(
+        assert edge_average_hamiltonian(Graph(3, ((0, 2),)), f) == matrix_rep(
             BrauerDiagram.transposition(3, 0, 2), 2
         )
 
     def test_edge_out_of_range(self):
-        _, _, f = pair_operators(2)
         with pytest.raises(ValueError):
-            embed_sum(f, [(0, 5)], 3)
+            pair_sum([(0, 5)], 3, 2, (0, 1, 0))
 
     @pytest.mark.parametrize("which", ["flip", "flip_minus_w", "p_11"])
     @pytest.mark.parametrize(
@@ -141,24 +140,43 @@ class TestEmbedding:
     )
     def test_sum_equals_sum_of_single_edges(self, g, d, which):
         w, _, f = pair_operators(d)
-        op = {"flip": f, "flip_minus_w": f - w, "p_11": projectors(d)[1]}[which]
+        op, (a, b, c) = {
+            "flip": (f, (0, 1, 0)),
+            "flip_minus_w": (f - w, (0, 1, -1)),
+            "p_11": (projectors(d)[1], (Fraction(1, 2), Fraction(-1, 2), 0)),
+        }[which]
         n = g.vertex_count
-        want = SiteOperator.zero(n, d)
-        for e in g.edges:
-            want = want + embed_sum(op, [e], n)
-        assert embed_sum(op, g.edges, n) == want
+        terms = []
+        for u, v in g.edges:
+            terms += [(a, BrauerDiagram.identity(n)), (b, BrauerDiagram.transposition(n, u, v)),
+                      (c, BrauerDiagram.bar(n, u, v))]
+        want = {k: Fraction(v, g.edge_count) for k, v in reference_diagram_sum(terms, n, d).items()}
+        got = edge_average_hamiltonian(g, op)
+        assert got.data == want
+        assert all(type(v) is Fraction for v in got.data.values())
 
 
 class TestEdgeAverage:
     def test_single_edge_graph(self):
-        p_empty, _, _ = projectors(2)
         g = make_family("complete", 2)
-        assert edge_average_hamiltonian(g, p_empty) == p_empty
+        for d in (2, 3, 4):
+            for op in projectors(d):
+                got = edge_average_hamiltonian(g, op)
+                assert got == op
+                assert all(type(v) is Fraction for v in got.data.values())
 
     def test_rejects_non_flip_invariant(self):
         lopsided = SiteOperator(2, 2, {(0, 1): 1, (1, 0): 1, (1, 1): 1})
         with pytest.raises(ValueError):
             edge_average_hamiltonian(make_family("complete", 3), lopsided)
+
+    def test_rejects_flip_invariant_operator_outside_the_span(self):
+        # |00><00| commutes with F, but is not a I + b F + c W
+        corner = SiteOperator(2, 2, {(0, 0): 1})
+        _, _, f = pair_operators(2)
+        assert f @ corner @ f == corner
+        with pytest.raises(ValueError, match="not a I \\+ b F \\+ c W"):
+            edge_average_hamiltonian(make_family("complete", 3), corner)
 
     def test_rejects_non_pair_operator(self):
         # a three-site operator used to fail with "operator shape mismatch"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from monogamy import partitions
 from monogamy.partitions import (
     brauer_jm_eigenvalue,
     check_partition,
@@ -189,6 +190,27 @@ class TestCharacters:
         for n in range(1, 7):
             for lam in partitions_of(n):
                 assert mn_character(lam, (1,) * n) == sym_dim(lam)
+
+    def test_checks_its_arguments_once(self, monkeypatch):
+        calls = []
+        check = partitions.check_partition
+
+        def counting_check(parts):
+            calls.append(parts)
+            return check(parts)
+
+        monkeypatch.setattr(partitions, "check_partition", counting_check)
+        partitions.mn_character.cache_clear()
+        partitions._mn_character.cache_clear()
+        chi = mn_character((6, 5, 4, 3, 2, 1), (3,) * 7)
+        assert len(calls) <= 2
+        # trailing zeros are trimmed, as check_partition trims them
+        assert mn_character((6, 5, 4, 3, 2, 1, 0), (3,) * 7 + (0,)) == chi
+
+    @pytest.mark.parametrize("lam,ct", [((1, 2), (3,)), ((2, 1), (2, 0, 1)), ((2, 1), (2,))])
+    def test_rejects_bad_arguments(self, lam, ct):
+        with pytest.raises(ValueError):
+            mn_character(lam, ct)
 
     def test_cycle_type(self):
         assert cycle_type((1, 0, 2)) == (2, 1)
