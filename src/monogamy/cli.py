@@ -4,7 +4,8 @@ Subcommands: value, table, verify, spectrum, matchings, ppt-region,
 dual-scan, cycle. Rationals are printed as "num/den" (never floats) with
 a decimal column for humans. Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 budget exceeded (d^n, or the number of
-matchings), 4 numeric eigensolver did not converge.
+matchings), 4 numeric eigensolver did not converge, 5 internal error (any
+other exception).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 CLI_FAMILIES = ("werner", "brauer", "isotropic", "isotropic-prime", "isotropic-bipartite")
 
@@ -357,6 +359,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # so that exit 1 means only "a verify check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

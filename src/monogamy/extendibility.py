@@ -425,6 +425,10 @@ def iso_dual_numeric(n: int, d: int, budget: int | None = None) -> float:
     eigenvector of H(x) with eigenvalue r, the line r + (v^T H1 v)(y - x)
     equals v^T H(y) v, so it lies below the convex lambda_max(H(y)) at
     every y; _minimize_convex cuts with these lines, one eigensolve each.
+    Each solve starts from top_eigenpair's fixed random vector, not from
+    the previous eigenvector: H(x) commutes with S_n x O(d), so a Krylov
+    space started from an eigenvector stays in its symmetry sector, and
+    near the optimum the top eigenvalue changes sector.
     """
     _check_nd(n, d)
     check_budget(n, d, budget)

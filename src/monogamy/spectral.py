@@ -74,16 +74,105 @@ def float_pair_operators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.outer(phi, phi), ident, flip
 
 
+# largest dense block a product multiplies by: 64 = 2^6 = 4^3, so a group
+# holds 6 qubits, 3 qutrits or ququarts, and 2 sites from d = 5 on
+GROUP_DIM = 64
+
+
+def _plan(op: np.ndarray, sites, n: int, d: int):
+    """How to apply the float operator `op` on `sites` (in its own row order) of n qudits.
+
+    The plan is (op, view, perm, inverse): a state of d^n rows views as
+    `view`, the sizes of the k sites interleaved with the digit runs
+    before, between and after them, whose last axis also takes the
+    columns; `perm` moves the k site axes to the front in the order of
+    `sites`, and `inverse` moves them back.
+    """
+    order = sorted(sites)
+    view, last = [], -1
+    for s in order:
+        view += (d ** (s - last - 1), d)
+        last = s
+    view.append(d ** (n - 1 - last))
+    perm = [2 * order.index(s) + 1 for s in sites] + list(range(0, len(view), 2))
+    inverse = [0] * len(perm)
+    for i, a in enumerate(perm):
+        inverse[a] = i
+    return op, tuple(view), perm, inverse
+
+
+def _apply_plan(plan, psi: np.ndarray, out: np.ndarray) -> None:
+    """Add op on its sites times the columns of psi (d^n rows) into out, of psi's shape."""
+    op, view, perm, inverse = plan
+    # the columns (1 for a vector) ride along with the last digits
+    shape = view[:-1] + (view[-1] * psi.shape[1],)
+    moved = psi.reshape(shape).transpose(perm)
+    block = moved.reshape(op.shape[0], -1)  # one copy
+    prod = (op @ block).reshape(moved.shape)
+    # out is contiguous, so this reshape is a view; adding into it is
+    # faster than adding prod into a transposed view of out
+    target = out.reshape(shape)
+    target += prod.transpose(inverse)
+
+
+def _site_groups(n: int, d: int, edges) -> list[tuple[tuple[int, ...], list]]:
+    """Split edges into groups of at most k sites, k the largest with d^k <= GROUP_DIM.
+
+    Greedy and deterministic: a group starts from the first unassigned
+    edge and adds, one at a time, the lowest outside site among those that
+    close the most unassigned edges with it, until it has k sites or no
+    unassigned edge touches it; it then takes every unassigned edge with
+    both ends inside it. Each edge lands in exactly one group, a repeated
+    edge once per copy. Returns (sorted sites, edges) pairs.
+    """
+    k = 2
+    while d ** (k + 1) <= GROUP_DIM:
+        k += 1
+    # unassigned edges between each pair of sites
+    open_edges = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        open_edges[u][v] += 1
+        open_edges[v][u] += 1
+    taken = [False] * len(edges)
+    groups = []
+    for first, (u, v) in enumerate(edges):
+        if taken[first]:
+            continue
+        sites = [u, v]
+        closes = [a + b for a, b in zip(open_edges[u], open_edges[v])]
+        while len(sites) < k:
+            for s in sites:
+                closes[s] = 0
+            best = max(range(n), key=closes.__getitem__)  # the lowest on a tie
+            if closes[best] == 0:
+                break
+            sites.append(best)
+            closes = [a + b for a, b in zip(closes, open_edges[best])]
+        inside = set(sites)
+        members = []
+        for i in range(first, len(edges)):
+            a, b = edges[i]
+            if not taken[i] and a in inside and b in inside:
+                taken[i] = True
+                members.append(edges[i])
+                open_edges[a][b] -= 1
+                open_edges[b][a] -= 1
+        groups.append((tuple(sorted(sites)), members))
+    return groups
+
+
 def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     """Matrix-free sum over edges (u, v) of the float d^2 x d^2 `pair` on sites u, v.
 
     Site 0 is the most significant digit of a basis index, as in the exact
-    operators. Each edge gets one plan when the operator is built: the sizes
-    (d^lo, d^(hi-lo-1), d^(n-1-hi)) of the digits before, between and after
-    its sites lo < hi. A product views psi as (before, d, between, d,
-    after * columns), copies the two edge axes to the front as a (d^2, -1)
-    block, multiplies it once by `pair` and adds the inverse transpose of the
-    result into the same view of the output. Each product holds O(d^n)
+    operators. When the operator is built, _site_groups splits the edges
+    into groups of at most k sites, d^k <= GROUP_DIM, and each group gets
+    one dense d^k x d^k matrix: the sum of `pair` over its edges, built by
+    applying each edge's two-site plan to the identity on the group's
+    sites. A product views psi with the group's site axes moved to the
+    front as one (d^k, -1) block per group, multiplies it once by the
+    group matrix and adds the inverse transpose of the result into the
+    output. At d >= 5 a group is one edge. Each product holds O(d^n)
     floats; nothing of size d^n x d^n is ever built. The pair must be
     exactly symmetric and flip-invariant, so the sum is symmetric and does
     not depend on edge orientation.
@@ -104,25 +193,28 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"invalid edge {(u, v)} for n={n}")
 
-    # flip invariance makes (u, v) and (v, u) the same term, so a plan needs only
-    # the sizes around the lower and the higher site
-    plans = [
-        (d ** min(u, v), d ** (abs(v - u) - 1), d ** (n - 1 - max(u, v))) for u, v in edges
-    ]
+    # pair on sites (i, j) of k, as a d^k x d^k matrix; flip invariance makes
+    # (i, j) and (j, i) the same
+    embedded: dict[tuple[int, int, int], np.ndarray] = {}
+    plans = []
+    for sites, members in _site_groups(n, d, edges):
+        k = len(sites)
+        local = {s: i for i, s in enumerate(sites)}
+        group = np.zeros((d ** k, d ** k))
+        for u, v in members:
+            key = (k, *sorted((local[u], local[v])))
+            if key not in embedded:
+                embedded[key] = np.zeros_like(group)
+                _apply_plan(_plan(pair, key[1:], k, d), np.eye(d ** k), embedded[key])
+            group += embedded[key]
+        plans.append(_plan(group, sites, n, d))
     dim = d ** n
 
     def apply(x: np.ndarray) -> np.ndarray:
-        # the columns of a block (1 for a vector) ride along with the after digits
         psi = x.reshape(dim, -1)
         out = np.zeros(psi.shape)
-        for before, between, after in plans:
-            shape = (before, d, between, d, after * psi.shape[1])
-            block = psi.reshape(shape).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)  # one copy
-            prod = (pair @ block).reshape(d, d, before, between, shape[4])
-            # out is contiguous, so this reshape is a view; adding into it is
-            # faster than adding prod into a transposed view of out
-            view = out.reshape(shape)
-            view += prod.transpose(2, 0, 3, 1, 4)
+        for plan in plans:
+            _apply_plan(plan, psi, out)
         return out.reshape(x.shape)
 
     return scipy.sparse.linalg.LinearOperator(

@@ -466,3 +466,16 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 2
         assert out.strip().endswith("(0 failing checks)")
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_5_without_traceback(self, capsys, monkeypatch):
+        def broken(args, out):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr(cli, "cmd_value", broken)
+        code, out, err = run_cli(capsys, "value", "--family", "werner", "--n", "3", "--d", "2")
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == "internal error: RuntimeError: planted fault\n"
+        assert "Traceback" not in err

@@ -156,6 +156,82 @@ def _edge_sum_by_index_loops(n, d, edges, pair):
     return out
 
 
+def _flip_invariant_pair(rng, d):
+    a = rng.standard_normal((d * d, d * d))
+    sym = a + a.T
+    flip = float_pair_operators(d)[2]
+    return sym + flip @ sym @ flip  # exactly symmetric and flip-invariant
+
+
+def _random_graph_edges(n, count, seed):
+    """`count` distinct edges of K_n, each in a random orientation."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pick = sorted(rng.permutation(len(pairs))[:count])
+    return [pairs[i] if rng.random() < 0.5 else pairs[i][::-1] for i in pick]
+
+
+def _oriented_complete_edges(n, seed):
+    rng = np.random.default_rng(seed)
+    return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in make_family("complete", n).edges]
+
+
+# (n, d, edges, group sizes that must occur); each edge list ends with a
+# reversed copy of its first edge
+GROUPED_CASES = [
+    (8, 2, _oriented_complete_edges(8, 1), {6, 4}),
+    (8, 2, _random_graph_edges(8, 12, 7), {6, 2}),
+    (5, 3, _oriented_complete_edges(5, 2), {3}),
+    (4, 5, _oriented_complete_edges(4, 3), {2}),
+]
+GROUPED_CASES = [(n, d, edges + [edges[0][::-1]], sizes) for n, d, edges, sizes in GROUPED_CASES]
+GROUPED_IDS = ["K8@2", "random8@2", "K5@3", "K4@5"]
+
+
+class TestSiteGroups:
+    @pytest.mark.parametrize("n,d,edges,sizes", GROUPED_CASES, ids=GROUPED_IDS)
+    def test_grouped_kernel_matches_index_loops(self, n, d, edges, sizes):
+        groups = spectral._site_groups(n, d, edges)
+        assert sizes <= {len(sites) for sites, _ in groups}
+        assert all(len(sites) < n for sites, _ in groups)
+        rng = np.random.default_rng(10 * n + d)
+        pair = _flip_invariant_pair(rng, d)
+        dim = d ** n
+        want = _edge_sum_by_index_loops(n, d, edges, pair)
+        op = edge_sum(n, d, edges, pair)
+        block = rng.standard_normal((dim, 3))
+        assert op.matvec(block[:, 0]).shape == (dim,)
+        assert op.matvec(block[:, :1]).shape == (dim, 1)
+        assert np.max(np.abs(op.matvec(block[:, 0]) - want @ block[:, 0])) < 1e-12
+        assert np.max(np.abs(op.matmat(block[:, :1]) - want @ block[:, :1])) < 1e-12
+        assert np.max(np.abs(op.matmat(block) - want @ block)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n,d,edges",
+        [(n, d, edges) for n, d, edges, _ in GROUPED_CASES]
+        + [
+            (12, 2, make_family("complete", 12).edges),
+            (14, 2, make_family("cycle", 14).edges),
+            (7, 3, make_family("complete", 7).edges),
+            (6, 4, make_family("complete", 6).edges),
+            (5, 6, make_family("complete", 5).edges),
+            (9, 2, [(0, 1), (1, 0), (0, 1), (2, 3)]),
+        ],
+    )
+    def test_every_edge_in_one_group_within_group_dim(self, n, d, edges):
+        groups = spectral._site_groups(n, d, edges)
+        members = [e for _, group_edges in groups for e in group_edges]
+        assert sorted(members) == sorted(tuple(e) for e in edges)
+        for sites, group_edges in groups:
+            assert 2 <= len(sites) and d ** len(sites) <= spectral.GROUP_DIM
+            assert group_edges and all(u in sites and v in sites for u, v in group_edges)
+        assert spectral._site_groups(n, d, edges) == groups
+
+    def test_complete_graph_on_qubits_takes_few_groups(self):
+        # one group per edge would be 66
+        assert len(spectral._site_groups(12, 2, make_family("complete", 12).edges)) <= 8
+
+
 class TestLambdaMax:
     def test_complete_graph_werner(self):
         g = make_family("complete", 3)
