@@ -37,8 +37,12 @@ def current_budget(override: int | None = None) -> int:
 
 
 def within_budget(points, cap: int) -> list[tuple[int, int]]:
-    """The (n, d) points whose d^n-sized data fits the cap: d^n <= cap."""
-    return [(n, d) for n, d in points if d ** n <= cap]
+    """The (n, d) points whose d^n-sized data fits the cap: d^n <= cap.
+
+    A point with n < 0 has no d^n-sized data, so it fits; its caller
+    rejects it as a usage error (0 ** -1 would raise ZeroDivisionError).
+    """
+    return [(n, d) for n, d in points if n < 0 or d ** n <= cap]
 
 
 def check_budget(n: int, d: int, override: int | None = None) -> None:

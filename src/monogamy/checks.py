@@ -212,7 +212,7 @@ def check_conjecture_probe(cap: int) -> tuple[str, bool, str]:
     points = within_budget([(3, 2)], cap)
     for n, d in points:
         for g in (make_family("complete", n), make_family("path", n)):
-            rep = ext.conjecture_probe(g, "werner", d, grid=21, budget=cap)
+            rep = ext.conjecture_probe(g, "werner", d, budget=cap)
             if not (-1e-9 <= rep["gap"] <= rep["tolerance"]):
                 bad.append((g.family_tag, rep["gap"]))
     summary = f"signed vs simplex minima agree at {len(points)} (n,d) points (observation)"

@@ -310,7 +310,7 @@ def cmd_dual_scan(args, out) -> int:
     # a convex combination of the bounds stays finite where hi - lo would overflow
     ts = [i / (args.points - 1) for i in range(args.points)]
     xs = [args.lo * (1 - t) + args.hi * t for t in ts]
-    rows = [(x, lambda_max(ext.iso_dual_hamiltonian(n, d, x))) for x in xs]
+    rows = [(x, lambda_max(ext.iso_dual_hamiltonian(n, d, x), d ** n)) for x in xs]
     if args.format == "json":
         json.dump([{"x": x, "lambda_max": v} for x, v in rows], out)
         out.write("\n")

@@ -346,9 +346,10 @@ def p_avg_numeric(g: Graph, which: str, d: int, budget: int | None = None) -> fl
     uses the normalized maximally entangled projector W/d, so the value is
     directly comparable with the Brauer closed form.
     """
-    check_budget(g.vertex_count, d, budget)
+    n = g.vertex_count
+    check_budget(n, d, budget)
     pair = _float_pair(which, d)
-    return lambda_max(edge_sum(g.vertex_count, d, g.edges, pair)) / g.edge_count
+    return lambda_max(edge_sum(n, d, g.edges, pair), d ** n) / g.edge_count
 
 
 def cycle_werner_value(n: int, budget: int | None = None) -> float:
@@ -435,8 +436,8 @@ def iso_dual_numeric(n: int, d: int, budget: int | None = None) -> float:
     slope_op = edge_sum(n, d, make_family("complete", n).edges, _iso_dual_pencil(n, d)[1])
 
     def value_and_slope(x: float) -> tuple[float, float]:
-        value, vec = top_eigenpair(iso_dual_hamiltonian(n, d, x))
-        return value, float(vec @ (slope_op @ vec))
+        value, vec = top_eigenpair(iso_dual_hamiltonian(n, d, x), d ** n)
+        return value, float(vec @ slope_op(vec))
 
     return _minimize_convex(value_and_slope)
 
@@ -655,17 +656,18 @@ def brauer_is_ppt(p, q, d: int) -> bool:
 # ---------------------------------------------------------------------------
 # conjecture probe and asymptotics
 
-def conjecture_probe(g: Graph, which: str, d: int, grid: int = 21,
-                     budget: int | None = None) -> dict:
+# simplex grid points per axis of conjecture_probe, so its step is 1/20
+PROBE_GRID = 21
+
+
+def conjecture_probe(g: Graph, which: str, d: int, budget: int | None = None) -> dict:
     """Grid comparison of signed-weight vs nonnegative-weight minimax.
 
     Scans weight vectors x with sum 1 (free coordinates signed on [-1, 1]
     and on the probability simplex) and compares the two minima of
     lambda_max(sum_e x_e Pi_e). Observational only: the reported gap is an
-    empirical quantity at the given grid resolution, never a proof.
+    empirical quantity at the PROBE_GRID resolution, never a proof.
     """
-    if grid < 3:
-        raise ValueError("need grid >= 3")
     if g.edge_count > 5:
         raise ValueError("grid probe limited to graphs with at most 5 edges")
     n = g.vertex_count
@@ -674,9 +676,9 @@ def conjecture_probe(g: Graph, which: str, d: int, grid: int = 21,
     check_budget(n, d, budget)
     pair = _float_pair(which, d)
     eye = np.eye(d ** n)
-    embedded = [edge_sum(n, d, [e], pair) @ eye for e in g.edges]
+    embedded = [edge_sum(n, d, [e], pair)(eye) for e in g.edges]
     k = g.edge_count
-    steps = grid - 1
+    steps = PROBE_GRID - 1
 
     def value(weights) -> float:
         h = sum(float(w) * m for w, m in zip(weights, embedded))

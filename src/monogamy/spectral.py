@@ -4,14 +4,19 @@ This is the numeric oracle: eigenvalue multisets and joint spectra of
 commuting pairs of exact SiteOperators, and largest eigenvalues of
 matrix-free edge sums. Exactness stops here by design; outputs are
 floats clustered at a fixed absolute tolerance.
+
+A matrix-free operator is a plain function: it maps a (dim,) or (dim, k)
+array to the array of the same shape that the operator makes of it.
+edge_sum returns one, and top_eigenpair and lambda_max take one together
+with its dim.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .diagrams import SiteOperator
 
@@ -161,7 +166,7 @@ def _site_groups(n: int, d: int, edges) -> list[tuple[tuple[int, ...], list]]:
     return groups
 
 
-def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
+def edge_sum(n: int, d: int, edges, pair) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free sum over edges (u, v) of the float d^2 x d^2 `pair` on sites u, v.
 
     Site 0 is the most significant digit of a basis index, as in the exact
@@ -175,7 +180,9 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     output. At d >= 5 a group is one edge. Each product holds O(d^n)
     floats; nothing of size d^n x d^n is ever built. The pair must be
     exactly symmetric and flip-invariant, so the sum is symmetric and does
-    not depend on edge orientation.
+    not depend on edge orientation. The operator is returned as a function
+    of a (d^n,) or (d^n, k) array, which raises ValueError on any other
+    number of rows.
     """
     pair = np.asarray(pair, dtype=np.float64)
     if pair.shape != (d * d, d * d):
@@ -211,15 +218,15 @@ def edge_sum(n: int, d: int, edges, pair) -> scipy.sparse.linalg.LinearOperator:
     dim = d ** n
 
     def apply(x: np.ndarray) -> np.ndarray:
+        if x.shape[0] != dim:
+            raise ValueError(f"operator of dimension {dim} applied to {x.shape[0]} rows")
         psi = x.reshape(dim, -1)
         out = np.zeros(psi.shape)
         for plan in plans:
             _apply_plan(plan, psi, out)
         return out.reshape(x.shape)
 
-    return scipy.sparse.linalg.LinearOperator(
-        (dim, dim), matvec=apply, matmat=apply, dtype=np.float64
-    )
+    return apply
 
 
 class NoConvergenceError(RuntimeError):
@@ -237,9 +244,11 @@ RESIDUAL_TOL = 1e-13
 ROTATION_COLUMNS = 1024
 
 
-def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.ndarray]:
+def top_eigenpair(op: Callable[[np.ndarray], np.ndarray], dim: int) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric operator and a unit eigenvector, by Lanczos.
 
+    op maps a vector of length dim to its product with the operator, as
+    edge_sum's functions do; the solve calls it once per Lanczos step.
     The value is the Ritz value, so it is the Rayleigh quotient of the
     returned vector. The basis starts from a fixed random vector, not
     all-ones: the all-ones vector lies in the symmetric sector, which an
@@ -257,7 +266,6 @@ def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.nda
     give T the coupling row beta s_last of the kept pairs. Raises
     NoConvergenceError after MAX_RESTARTS restarts.
     """
-    dim = op.shape[0]
     size = min(BASIS_VECTORS, dim)
     basis = np.empty((size, dim))
     t = np.zeros((size, size))
@@ -267,7 +275,7 @@ def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.nda
     restarts = 0
     while True:
         basis[k] = q
-        w = op.matvec(q)
+        w = op(q)
         held = basis[:k + 1]
         h = held @ w
         w -= h @ held
@@ -303,9 +311,9 @@ def top_eigenpair(op: scipy.sparse.linalg.LinearOperator) -> tuple[float, np.nda
     return float(theta[-1]), vec / np.linalg.norm(vec)
 
 
-def lambda_max(op: scipy.sparse.linalg.LinearOperator) -> float:
+def lambda_max(op: Callable[[np.ndarray], np.ndarray], dim: int) -> float:
     """Largest eigenvalue of a symmetric operator: top_eigenpair's value."""
-    return top_eigenpair(op)[0]
+    return top_eigenpair(op, dim)[0]
 
 
 def joint_spectrum(a: SiteOperator, b: SiteOperator) -> JointSpectrum:

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, schemas, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monogamy import cli, spectral
 from monogamy.extendibility import p_w_complete
@@ -479,3 +481,68 @@ class TestInternalError:
         assert out == ""
         assert err == "internal error: RuntimeError: planted fault\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["spectrum --what jm-sym", "dual-scan"])
+    def test_zero_d_with_negative_n_is_a_usage_error(self, capsys, command):
+        # the budget guard once evaluated 0 ** -1 and exited 5
+        code, out, err = run_cli(capsys, *command.split(), "--n", "-1", "--d", "0")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: need n >= ")
+
+
+FORMATS = st.sampled_from(["text", "csv", "json", "xml"])
+NO_GRAPH = st.just("no-such-graph.json")
+# every d^n path stays at n <= 4, d <= 3; --max, --complete and --points stay
+# small, so no generated run can start a search that no cap bounds
+N_SMALL = st.integers(-1, 4)
+D_SMALL = st.integers(-1, 3)
+# per command, its flags with a strategy for the value (None for a switch)
+COMMAND_FLAGS = {
+    "value": [("--family", st.sampled_from(cli.CLI_FAMILIES)), ("--n", st.integers(-1, 12)),
+              ("--d", st.integers(-1, 12)), ("--m", st.integers(-1, 12)), ("--format", FORMATS)],
+    "table": [("--family", st.sampled_from(cli.CLI_FAMILIES)), ("--max", st.integers(-1, 6)),
+              ("--format", FORMATS)],
+    "spectrum": [("--what", st.sampled_from(["jm-sym", "jm-brauer", "werner", "brauer", "flip"])),
+                 ("--n", N_SMALL), ("--d", D_SMALL), ("--graph", NO_GRAPH), ("--format", FORMATS)],
+    "matchings": [("--complete", st.integers(-1, 10)), ("--graph", NO_GRAPH), ("--count", None),
+                  ("--budget", st.integers(-1, 1000))],
+    "ppt-region": [("--p", st.fractions(-2, 2, max_denominator=12)),
+                   ("--q", st.fractions(-2, 2, max_denominator=12)), ("--d", st.integers(-1, 12)),
+                   ("--prime", None)],
+    "dual-scan": [("--n", N_SMALL), ("--d", D_SMALL), ("--lo", st.floats(-1e3, 1e3)),
+                  ("--hi", st.floats(-1e3, 1e3)), ("--points", st.integers(-1, 5)),
+                  ("--budget", st.integers(-1, 100)), ("--format", FORMATS)],
+    "cycle": [("--max", st.integers(-1, 6)), ("--budget", st.integers(-1, 100))],
+}
+REQUIRED_FLAGS = {"--family", "--n", "--d", "--what", "--complete", "--p", "--q"}
+# no junk token names an option or is a large number, so none can lift a size bound
+JUNK = st.sampled_from(["", "x", "0", "-1", "1/0", "nan", "inf", "1e999", "--bogus", "-z", "--"])
+
+
+@st.composite
+def generated_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag, values in COMMAND_FLAGS[command]:
+        # a required flag is left out less often, so more runs get past argparse
+        if draw(st.integers(0, 3)) < (3 if flag in REQUIRED_FLAGS else 2):
+            # flag=value, so that argparse reads a negative value as a value
+            argv.append(flag if values is None else f"{flag}={draw(values)}")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    return argv
+
+
+class TestGeneratedArgv:
+    @given(generated_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_every_exit_code_is_documented_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in {0, 2, 3, 4, 5}, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from monogamy import spectral
 from monogamy.diagrams import (
@@ -79,7 +78,7 @@ class TestEdgeSum:
         g = make_family(tag, n, m)
         op = dict(zip(("p_empty", "p_11", "p_2"), projectors(d)), flip=pair_operators(d)[2])[which]
         dim = d ** g.vertex_count
-        got = edge_sum(g.vertex_count, d, g.edges, op.to_dense()) @ np.eye(dim)
+        got = edge_sum(g.vertex_count, d, g.edges, op.to_dense())(np.eye(dim))
         want = edge_average_hamiltonian(g, op).to_dense() * g.edge_count
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -106,11 +105,11 @@ class TestEdgeSum:
         op = edge_sum(n, d, edges, pair)
         block = rng.standard_normal((dim, 3))
         by_column = np.column_stack([
-            op.matvec(block[:, 0]), op.matvec(block[:, 1:2])[:, 0], op.matmat(block)[:, 2],
+            op(block[:, 0]), op(block[:, 1:2])[:, 0], op(block)[:, 2],
         ])
-        assert op.matvec(block[:, 1:2]).shape == (dim, 1)
+        assert op(block[:, 1:2]).shape == (dim, 1)
         assert np.max(np.abs(by_column - want @ block)) < 1e-12
-        assert np.max(np.abs(op.matmat(block) - want @ block)) < 1e-12
+        assert np.max(np.abs(op(block) - want @ block)) < 1e-12
 
     def test_float_pair_operators_match_exact(self):
         for got, want in zip(float_pair_operators(3), pair_operators(3)):
@@ -134,6 +133,17 @@ class TestEdgeSum:
             edge_sum(3, 2, [], ident)
         with pytest.raises(ValueError):
             edge_sum(3, 2, [(0, 3)], ident)
+
+    def test_rejects_wrong_row_count(self):
+        op = edge_sum(3, 2, make_family("complete", 3).edges, float_pair_operators(2)[2])
+        dim = 8
+        with pytest.raises(ValueError):
+            op(np.ones(dim + 1))
+        with pytest.raises(ValueError):
+            op(np.ones((dim - 1, 2)))
+        # reshape alone would read this as one column of dim rows
+        with pytest.raises(ValueError):
+            op(np.ones((dim // 2, 2)))
 
 
 def _edge_sum_by_index_loops(n, d, edges, pair):
@@ -200,11 +210,11 @@ class TestSiteGroups:
         want = _edge_sum_by_index_loops(n, d, edges, pair)
         op = edge_sum(n, d, edges, pair)
         block = rng.standard_normal((dim, 3))
-        assert op.matvec(block[:, 0]).shape == (dim,)
-        assert op.matvec(block[:, :1]).shape == (dim, 1)
-        assert np.max(np.abs(op.matvec(block[:, 0]) - want @ block[:, 0])) < 1e-12
-        assert np.max(np.abs(op.matmat(block[:, :1]) - want @ block[:, :1])) < 1e-12
-        assert np.max(np.abs(op.matmat(block) - want @ block)) < 1e-12
+        assert op(block[:, 0]).shape == (dim,)
+        assert op(block[:, :1]).shape == (dim, 1)
+        assert np.max(np.abs(op(block[:, 0]) - want @ block[:, 0])) < 1e-12
+        assert np.max(np.abs(op(block[:, :1]) - want @ block[:, :1])) < 1e-12
+        assert np.max(np.abs(op(block) - want @ block)) < 1e-12
 
     @pytest.mark.parametrize(
         "n,d,edges",
@@ -236,11 +246,11 @@ class TestLambdaMax:
     def test_complete_graph_werner(self):
         g = make_family("complete", 3)
         h = edge_sum(3, 2, g.edges, projectors(2)[1].to_dense())
-        assert lambda_max(h) / g.edge_count == pytest.approx(float(p_w_complete(3, 2)), abs=1e-12)
+        assert lambda_max(h, 8) / g.edge_count == pytest.approx(float(p_w_complete(3, 2)), abs=1e-12)
 
     def test_projector(self):
         _, p_11, _ = projectors(2)
-        assert lambda_max(edge_sum(2, 2, [(0, 1)], p_11.to_dense())) == pytest.approx(
+        assert lambda_max(edge_sum(2, 2, [(0, 1)], p_11.to_dense()), 4) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -249,7 +259,7 @@ class TestLambdaMax:
         # the full-row content 66
         _, _, f = float_pair_operators(2)
         h = edge_sum(12, 2, make_family("complete", 12).edges, f)
-        assert lambda_max(h) == pytest.approx(66.0, abs=1e-7)
+        assert lambda_max(h, 4096) == pytest.approx(66.0, abs=1e-7)
 
 
 class TestJointSpectrum:
@@ -276,16 +286,16 @@ class TestJointSpectrum:
 
 class TestTopEigenpair:
     # the operators of the TestLambdaMax cases
-    @pytest.mark.parametrize("op", [
-        edge_sum(3, 2, make_family("complete", 3).edges, projectors(2)[1].to_dense()),
-        edge_sum(2, 2, [(0, 1)], projectors(2)[1].to_dense()),
-        edge_sum(12, 2, make_family("complete", 12).edges, float_pair_operators(2)[2]),
+    @pytest.mark.parametrize("op,dim", [
+        (edge_sum(3, 2, make_family("complete", 3).edges, projectors(2)[1].to_dense()), 8),
+        (edge_sum(2, 2, [(0, 1)], projectors(2)[1].to_dense()), 4),
+        (edge_sum(12, 2, make_family("complete", 12).edges, float_pair_operators(2)[2]), 4096),
     ], ids=["complete-werner", "projector", "sparse-4096"])
-    def test_unit_ritz_vector(self, op):
-        value, vec = top_eigenpair(op)
+    def test_unit_ritz_vector(self, op, dim):
+        value, vec = top_eigenpair(op, dim)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12)
-        assert lambda_max(op) == value
+        assert vec @ op(vec) == pytest.approx(value, abs=1e-12)
+        assert lambda_max(op, dim) == value
 
 
 def _random_symmetric(dim, seed):
@@ -301,15 +311,16 @@ def _with_spectrum(values, seed):
 class TestLanczos:
     def _check_against_dense(self, dense):
         count = [0]
-        op = counting_operator(scipy.sparse.linalg.aslinearoperator(dense), count)
+        op = counting_operator(lambda x: dense @ x, count)
+        dim = len(dense)
         exact = np.linalg.eigvalsh(dense)
         scale = max(abs(exact[0]), abs(exact[-1]), 1.0)
-        value, vec = top_eigenpair(op)
+        value, vec = top_eigenpair(op, dim)
         matvecs = count[0]
         assert abs(value - exact[-1]) <= 1e-12 * scale
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert abs(vec @ dense @ vec - value) <= 1e-12 * scale
-        assert lambda_max(op) == value
+        assert lambda_max(op, dim) == value
         return matvecs
 
     @pytest.mark.parametrize("dim", [1, 2, 19, 20, 21, 200])
@@ -328,7 +339,7 @@ class TestLanczos:
         values = -1.0 - np.arange(60.0)
         dense = _with_spectrum(values, seed=2)
         self._check_against_dense(dense)
-        assert lambda_max(scipy.sparse.linalg.aslinearoperator(dense)) == pytest.approx(-1.0)
+        assert lambda_max(lambda x: dense @ x, 60) == pytest.approx(-1.0)
 
     def test_zero_operator(self):
         assert self._check_against_dense(np.zeros((30, 30))) == 1
@@ -339,12 +350,12 @@ class TestLanczos:
         _, _, f = float_pair_operators(2)
         count = [0]
         op = counting_operator(edge_sum(12, 2, make_family("complete", 12).edges, f), count)
-        value, vec = top_eigenpair(op)
+        value, vec = top_eigenpair(op, 4096)
         assert count[0] <= 12
         assert value == pytest.approx(66.0, abs=1e-12 * 66)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12 * 66)
-        assert lambda_max(op) == value
+        assert vec @ op(vec) == pytest.approx(value, abs=1e-12 * 66)
+        assert lambda_max(op, 4096) == value
 
     def test_restart_rotates_in_ragged_column_blocks(self, monkeypatch):
         # 200 columns in blocks of 7: 28 full blocks and one of 4
@@ -361,15 +372,16 @@ class TestLanczos:
         op = counting_operator(edge_sum(14, 2, make_family("cycle", 14).edges, pair), count)
         tracemalloc.start()
         try:
-            value, vec = top_eigenpair(op)
+            value, vec = top_eigenpair(op, dim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert count[0] > spectral.BASIS_VECTORS
         assert peak < (spectral.BASIS_VECTORS + spectral.KEPT_RITZ_VECTORS) * dim * 8
-        assert vec @ (op @ vec) == pytest.approx(value, abs=1e-12 * value)
+        assert vec @ op(vec) == pytest.approx(value, abs=1e-12 * value)
 
     def test_restart_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_RESTARTS", 2)
+        dense = _random_symmetric(200, seed=200)
         with pytest.raises(spectral.NoConvergenceError, match="after 2 restarts of 20"):
-            lambda_max(scipy.sparse.linalg.aslinearoperator(_random_symmetric(200, seed=200)))
+            lambda_max(lambda x: dense @ x, 200)
