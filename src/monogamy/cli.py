@@ -61,14 +61,22 @@ def _int_at_least_2(text: str) -> int:
     return value
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float, rejected with exit code 2 otherwise."""
+# the largest |x| that dual-scan samples: H(x) has entries of order |x|, and
+# the Lanczos norms square them, so from about 1e154 on they overflow and
+# the printed lambda_max is wrong
+SCAN_BOUND = 1e100
+
+
+def _scan_point(text: str) -> float:
+    """argparse type: a finite float with |x| <= SCAN_BOUND, rejected with exit code 2 otherwise."""
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    if abs(value) > SCAN_BOUND:
+        raise argparse.ArgumentTypeError(f"|x| must be at most {SCAN_BOUND:g}: {text!r}")
     return value
 
 
@@ -129,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("dual-scan", help="sample (x, lambda_max(H(x))) for the isotropic dual")
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--d", type=int, required=True)
-    p_scan.add_argument("--lo", type=_finite_float, default=-1.0)
-    p_scan.add_argument("--hi", type=_finite_float, default=1.0)
+    p_scan.add_argument("--lo", type=_scan_point, default=-1.0,
+                        help=f"first x, finite with |x| <= {SCAN_BOUND:g} (default -1)")
+    p_scan.add_argument("--hi", type=_scan_point, default=1.0,
+                        help=f"last x, finite with |x| <= {SCAN_BOUND:g} (default 1)")
     p_scan.add_argument("--points", type=_int_at_least_2, default=41)
     p_scan.add_argument("--budget", type=int, default=None)
     p_scan.add_argument("--format", choices=("text", "csv", "json"), default="text")

@@ -31,15 +31,14 @@ from .graphs import Graph, make_family, perfect_matchings
 from .partitions import (
     Partition,
     _content,
-    _is_brauer_label,
     _odd_row_count,
     _partitions,
     _twice_brauer_jm_eigenvalue,
+    _two_column_height,
     brauer_jm_eigenvalue,
     check_partition,
     class_size,
     content,
-    enumerate_sym_irreps,
     mn_character,
     optimal_rectangular_partition,
 )
@@ -216,8 +215,34 @@ def minimize_max_affine(fns: list[AffineFn]) -> tuple[Fraction, Fraction, tuple[
     return _minimum(tuple(f for _, _, f in active))
 
 
+@lru_cache(maxsize=None)
+def _easy_pair_table(n: int) -> tuple[tuple[int, tuple[Partition, Partition], int, int, int], ...]:
+    """Every easy pair of n, in okada_easy_pairs' order, with its d-independent integers.
+
+    An entry is (least d, (lam, mu), 2 c(lam), n - |lam|, c(mu)); the pair
+    is an easy pair at d exactly when d >= least d, because each rule's
+    condition only loosens as d grows. The least d is 2 for the single-row
+    pairs, len(mu) for ((1^m), mu) and lam'_1 + lam'_2 for (mu, mu), each
+    at least 2. The labels are the tuples of the partitions cache, and the
+    table is built once per n, like that cache.
+    """
+    least: dict[tuple[Partition, Partition], int] = {}
+
+    def admit(pair: tuple[Partition, Partition], d: int):
+        least[pair] = min(least.get(pair, d), d)
+
+    top = _partitions(n)[0]
+    for r in range(n // 2 + 1):
+        admit((_partitions(n - 2 * r)[0], top), 2)
+    for mu in _partitions(n):
+        admit((_partitions(_odd_row_count(mu))[-1], mu), len(mu))
+        admit((mu, mu), _two_column_height(mu))
+    return tuple((max(d, 2), pair, 2 * _content(pair[0]), n - sum(pair[0]), _content(pair[1]))
+                 for pair, d in sorted(least.items()))
+
+
 def okada_easy_pairs(n: int, d: int) -> list[tuple[Partition, Partition]]:
-    """(lambda, mu) label pairs produced by the three easy branching rules.
+    """(lambda, mu) label pairs produced by the three easy branching rules, sorted.
 
     Each partition mu of n with at most d rows gives the pairs of rules 1
     and 2; rule 3 adds the single-row pairs.
@@ -225,14 +250,11 @@ def okada_easy_pairs(n: int, d: int) -> list[tuple[Partition, Partition]]:
        at most len(mu) <= d, so (1^m) is always a Brauer label.
     2. lambda = mu, when mu is a Brauer label: len(mu) + #{parts >= 2} <= d.
     3. mu the single row (n): lambda the single row (n - 2r), or () at 2r = n.
+    The pairs of every d are listed once per n, by _easy_pair_table, with
+    the least d that admits each; this filters that table.
     """
     _check_nd(n, d)
-    pairs = {((n - 2 * r,) if 2 * r < n else (), (n,)) for r in range(n // 2 + 1)}
-    for mu in enumerate_sym_irreps(n, d):
-        pairs.add(((1,) * _odd_row_count(mu), mu))
-        if _is_brauer_label(mu, d):
-            pairs.add((mu, mu))
-    return sorted(pairs)
+    return [pair for least, pair, _, _, _ in _easy_pair_table(n) if least <= d]
 
 
 def special_partitions(n: int, d: int) -> dict[str, Partition]:
@@ -257,23 +279,14 @@ def _iso_lines(n: int, d: int) -> list[tuple[int, int, tuple[Partition, Partitio
     The easy-rule pair (lambda, mu) gives the branch with slope
     jm(lambda) + d c(mu) - |E| and offset (d c(mu) - |E|) / (|E| (d - 1)),
     jm being brauer_jm_eigenvalue, so the line holds the integers
-    2 jm(lambda) + 2 d c(mu) - 2|E| and d c(mu) - |E|. The labels are
-    okada_easy_pairs' own, so 2 jm and d c are computed unchecked, once per
-    label.
+    2 c(lambda) - (n - |lambda|)(d - 1) + 2 (d c(mu) - |E|) and d c(mu) - |E|.
+    Labels and contents come from _easy_pair_table, built once per n; the
+    lines are in okada_easy_pairs' order, so ties report the same labels.
     """
     _check_nd(n, d)
     edges = n * (n - 1) // 2
-    twice_jm: dict[Partition, int] = {}
-    d_content: dict[Partition, int] = {}
-    lines = []
-    for lam, mu in okada_easy_pairs(n, d):
-        if lam not in twice_jm:
-            twice_jm[lam] = _twice_brauer_jm_eigenvalue(lam, n, d)
-        if mu not in d_content:
-            d_content[mu] = d * _content(mu)
-        offset = d_content[mu] - edges
-        lines.append((twice_jm[lam] + 2 * offset, offset, (lam, mu)))
-    return lines
+    return [(twice_c - rest * (d - 1) + 2 * (d * c_mu - edges), d * c_mu - edges, pair)
+            for least, pair, twice_c, rest, c_mu in _easy_pair_table(n) if least <= d]
 
 
 def _iso_fn(n: int, d: int, line: tuple[int, int, tuple[Partition, Partition]]) -> AffineFn:
@@ -321,9 +334,16 @@ def q0_affine_family(n: int, d: int) -> list[AffineFn]:
 
 
 def q0_dual_value(n: int, d: int) -> Fraction:
-    """Dual value of the maximally-entangled-marginal problem on K_n."""
-    _, value, _ = minimize_max_affine(q0_affine_family(n, d))
-    return value
+    """Dual value of the maximally-entangled-marginal problem on K_n.
+
+    Every branch of q0_affine_family has mu = (n), whose content is |E|,
+    so every slope is 0 and the dual is a flat maximum: over the single
+    rows lam = (n - 2r), of (|E| - jm(lam)) / (d |E|), summed in integers.
+    """
+    _check_nd(n, d)
+    edges = n * (n - 1) // 2
+    return Fraction(max(2 * edges - _twice_brauer_jm_eigenvalue(_partitions(n - 2 * r)[0], n, d)
+                        for r in range(n // 2 + 1)), 2 * d * edges)
 
 
 # ---------------------------------------------------------------------------

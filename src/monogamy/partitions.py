@@ -12,9 +12,10 @@ The partitions of each n are enumerated once, on first use, and kept in
 a cache keyed by n alone; both irrep enumerations filter that tuple into
 a fresh list.  Every public function validates its partition arguments
 with check_partition.  The private label functions (_content,
-_odd_row_count, _twice_brauer_jm_eigenvalue, _is_brauer_label) skip that
-check, for labels the package enumerated itself, and so does the
-Murnaghan-Nakayama recursion _mn_character under mn_character.
+_odd_row_count, _twice_brauer_jm_eigenvalue, _is_brauer_label,
+_two_column_height) skip that check, for labels the package enumerated
+itself, and so does the Murnaghan-Nakayama recursion _mn_character under
+mn_character.
 """
 
 from __future__ import annotations
@@ -169,8 +170,13 @@ def enumerate_brauer_irreps(n: int, d: int) -> list[Partition]:
 
 
 def _is_brauer_label(lam: Partition, d: int) -> bool:
-    """lam'_1 + lam'_2 <= d, unchecked: lam's rows plus its rows of length at least 2."""
-    return len(lam) + sum(p >= 2 for p in lam) <= d
+    """lam'_1 + lam'_2 <= d, unchecked."""
+    return _two_column_height(lam) <= d
+
+
+def _two_column_height(lam: Partition) -> int:
+    """lam'_1 + lam'_2, unchecked: lam's rows plus its rows of length at least 2."""
+    return len(lam) + sum(p >= 2 for p in lam)
 
 
 def shifted_schur_11(lam: Partition, d: int) -> int:

@@ -27,6 +27,7 @@ from monogamy.extendibility import (
     AffineFn,
     CLOSED_FORMS,
     ExtendibilityValue,
+    _easy_pair_table,
     _minimize_convex,
     asymptotic_limit,
     brauer_is_ppt,
@@ -51,6 +52,7 @@ from monogamy.extendibility import (
     p_iso_bipartite,
     p_iso_prime,
     p_w_complete,
+    q0_affine_family,
     q0_dual_value,
     reduced_state,
     special_partitions,
@@ -60,6 +62,7 @@ from monogamy.extendibility import (
 )
 from monogamy.graphs import make_family
 from monogamy.partitions import (
+    _partitions,
     brauer_jm_eigenvalue,
     content,
     enumerate_brauer_irreps,
@@ -221,10 +224,33 @@ class TestDualSolvers:
         _, _, active = isotropic_dual_argmin(n, d)
         assert [(f.lam, f.mu) for f in active] == labels
 
-    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_easy_pairs_match_set_definition(self, n):
-        for d in range(2, 10):
+        # from d = n on every label of n is admitted
+        for d in range(2, n + 3):
             assert okada_easy_pairs(n, d) == _easy_pairs_by_definition(n, d), d
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_q0_flat_maximum_matches_its_affine_family(self, n):
+        for d in range(2, 17):
+            assert q0_dual_value(n, d) == minimize_max_affine(q0_affine_family(n, d))[1], d
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_easy_pair_table_integers(self, n):
+        for _, (lam, mu), twice_c, rest, c_mu in _easy_pair_table(n):
+            assert (twice_c, rest, c_mu) == (2 * content(lam), n - sum(lam), content(mu))
+
+    def test_easy_pair_table_is_built_once_per_n(self):
+        n = 12
+        _easy_pair_table.cache_clear()
+        for d in range(2, 17):
+            isotropic_dual_argmin(n, d)
+            okada_easy_pairs(n, d)
+        assert _easy_pair_table.cache_info().misses == 1
+        # the labels are the partitions cache's own tuples, not copies
+        cached = {id(lam) for m in range(n + 1) for lam in _partitions(m)}
+        assert all(id(lam) in cached and id(mu) in cached
+                   for _, (lam, mu), _, _, _ in _easy_pair_table(n))
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_integer_lines_match_the_affine_family(self, n):
@@ -296,6 +322,11 @@ class TestDualSolvers:
     def test_numeric_dual(self):
         assert iso_dual_numeric(4, 2) == pytest.approx(float(p_iso_prime(4, 2)), abs=1e-8)
         assert iso_dual_numeric(5, 3) == pytest.approx(float(Fraction(7, 31)), abs=1e-8)
+
+    def test_overflowing_dual_hamiltonian_is_rejected(self):
+        # x = -1e308 is finite, but the pair operator at it overflows
+        with pytest.raises(ValueError, match=r"x=-1e\+308 is not finite"):
+            iso_dual_hamiltonian(3, 2, -1e308)
 
     @pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 0.25, 1.0])
     def test_dual_hamiltonian_pencil_matches_definition(self, x):
