@@ -227,7 +227,7 @@ class TestDualSolvers:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_easy_pairs_match_set_definition(self, n):
         # from d = n on every label of n is admitted
-        for d in range(2, n + 3):
+        for d in range(2, max(10, n + 3)):
             assert okada_easy_pairs(n, d) == _easy_pairs_by_definition(n, d), d
 
     @pytest.mark.parametrize("n", range(2, 21))
